@@ -7,17 +7,19 @@ CSV and report files.
 
 Exit codes: 0 all requested checks pass, 1 a check failed, 2 configuration
 error (including checks that are undefined for the instance), 3 numerical
-failure (non-finite values or step collapse).
+or resource failure (non-finite values, step collapse, out of memory).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -34,28 +36,28 @@ from .errors import (
 from .flow import EXPLICIT, PROXIMAL, FlowConfig, FlowTrace, TraceRow, Verdict, run_flow
 from .functionals import GridFunction, report
 from .grid import Grid, ModelParams, build_grid
-from .rng import SplitMix64
 from .variational import (
     WellClassification,
+    _critical_scale,
+    _j_closed,
+    _i_closed,
+    _ray_scalars,
+    _sample_ray,
     bump_profile,
     classify,
     estimate_well_depth,
-    fibering_profile,
     growth_exponent_gamma,
-    lambda_star,
+    random_profile,
     sine_profile,
 )
 from . import verify
+from .verify import field_lines, fmt
 
 TRACE_HEADER = "t,dt,l2,lp_p,seminorm_p,log_int,energy,nehari,dissipation"
 
 CHECK_NAMES = ("energy_inequality", "well_invariance", "decay", "blowup")
 
 IC_KINDS = ("bump", "sine", "random", "file")
-
-
-def fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 # ---------------------------------------------------------------------------
@@ -97,13 +99,13 @@ class ThresholdOptions:
 @dataclass(frozen=True)
 class RunConfig:
     model: ModelParams
-    flow: FlowConfig
-    ic: InitialSpec | None
-    output_dir: str
-    checks: tuple[str, ...]
-    welldepth: WellDepthOptions
-    fiber: FiberOptions
-    threshold: ThresholdOptions
+    flow: FlowConfig = field(default_factory=FlowConfig)
+    ic: InitialSpec | None = None
+    output_dir: str = "out"
+    checks: tuple[str, ...] = ()
+    welldepth: WellDepthOptions = field(default_factory=WellDepthOptions)
+    fiber: FiberOptions = field(default_factory=FiberOptions)
+    threshold: ThresholdOptions = field(default_factory=ThresholdOptions)
     golden: dict[str, float] = field(default_factory=dict)
 
 
@@ -157,28 +159,37 @@ def _parse_entries(path: str) -> dict[str, tuple[str, int]]:
     return entries
 
 
-_FLOAT_KEYS = {
-    "model.s", "model.p", "model.a", "model.b",
-    "flow.dt0", "flow.t_end", "flow.dt_min", "flow.blowup_threshold",
-    "flow.inner_tol", "ic.amplitude", "welldepth.d_hat",
-    "fiber.lambda_min", "fiber.lambda_max",
-    "threshold.alpha_lo", "threshold.alpha_hi", "threshold.tol",
-    "golden.d_hat", "golden.threshold",
+# config key prefix -> the dataclass whose fields the section's keys name;
+# a field's type fixes how its value parses and a field without a default
+# is a required key
+_SECTIONS = {
+    "model": ModelParams,
+    "flow": FlowConfig,
+    "ic": InitialSpec,
+    "welldepth": WellDepthOptions,
+    "fiber": FiberOptions,
+    "threshold": ThresholdOptions,
 }
-_INT_KEYS = {
-    "model.n", "flow.inner_max_iters", "ic.mode", "ic.seed",
-    "welldepth.samples", "welldepth.seed", "welldepth.num_seeds",
-    "welldepth.descent_iters", "fiber.count",
-}
-_STR_KEYS = {"flow.integrator", "ic.kind", "ic.path", "output_dir", "checks"}
-_KNOWN_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS
+
+
+def _key_types() -> dict[str, type]:
+    types = {"output_dir": str, "checks": str,
+             "golden.d_hat": float, "golden.threshold": float}
+    for section, cls in _SECTIONS.items():
+        for name, hint in get_type_hints(cls).items():
+            kind = next((k for k in (int, float) if hint in (k, k | None)), str)
+            types[f"{section}.{name}"] = kind
+    return types
+
+
+_KEY_TYPES = _key_types()
 
 
 class _Entries:
     def __init__(self, entries: dict[str, tuple[str, int]]):
         self.entries = entries
         for key, (_, lineno) in entries.items():
-            if key not in _KNOWN_KEYS:
+            if key not in _KEY_TYPES:
                 raise ConfigError(f"unknown key {key!r}", lineno)
 
     def get(self, key: str, default=None):
@@ -186,109 +197,66 @@ class _Entries:
             return default
         value, lineno = self.entries[key]
         try:
-            if key in _FLOAT_KEYS:
-                return float(value)
-            if key in _INT_KEYS:
-                return int(value)
+            return _KEY_TYPES[key](value)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {value!r}", lineno) from exc
-        return value
 
-    def require(self, key: str):
-        if key not in self.entries:
-            raise ConfigError(f"missing required key {key!r}")
-        return self.get(key)
+    def values(self, section: str) -> dict:
+        """Parsed values of the keys present under ``section.``."""
+        return {key.partition(".")[2]: self.get(key)
+                for key in self.entries if key.startswith(section + ".")}
+
+    def build(self, section: str):
+        """The section's dataclass from the keys present; the rest default."""
+        cls = _SECTIONS[section]
+        for f in fields(cls):
+            key = f"{section}.{f.name}"
+            required = f.default is MISSING and f.default_factory is MISSING
+            if required and key not in self.entries:
+                raise ConfigError(f"missing required key {key!r}")
+        try:
+            return cls(**self.values(section))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
+
+def _checks(names) -> tuple[str, ...]:
+    for name in names:
+        if name not in CHECK_NAMES:
+            raise ConfigError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
+    return tuple(names)
 
 
 def load_config(path: str, need_ic: bool = True) -> RunConfig:
     """Parse and validate a config file into a typed RunConfig."""
     ent = _Entries(_parse_entries(path))
-
-    try:
-        model = ModelParams(
-            s=ent.require("model.s"),
-            p=ent.require("model.p"),
-            a=ent.require("model.a"),
-            b=ent.require("model.b"),
-            n=ent.require("model.n"),
-        )
-    except InvalidInstance as exc:
-        raise ConfigError(str(exc)) from exc
-
-    integrator = ent.get("flow.integrator", PROXIMAL)
-    if integrator not in (PROXIMAL, EXPLICIT):
-        raise ConfigError(f"unknown integrator {integrator!r}")
-    try:
-        flow_cfg = FlowConfig(
-            dt0=ent.get("flow.dt0", 1e-2),
-            t_end=ent.get("flow.t_end", 1.0),
-            dt_min=ent.get("flow.dt_min", 1e-12),
-            blowup_threshold=ent.get("flow.blowup_threshold", 1e6),
-            inner_tol=ent.get("flow.inner_tol", 1e-8),
-            inner_max_iters=ent.get("flow.inner_max_iters", 500),
-            integrator=integrator,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    model = ent.build("model")
+    flow_cfg = ent.build("flow")
 
     ic = None
     if need_ic:
-        kind = ent.require("ic.kind")
-        if kind not in IC_KINDS:
-            raise ConfigError(f"ic.kind must be one of {IC_KINDS}, got {kind!r}")
-        amplitude = ent.require("ic.amplitude")
-        if amplitude == 0.0:
-            raise ConfigError("ic.amplitude must be nonzero")
-        path_value = ent.get("ic.path")
-        if kind == "file":
-            if path_value is None:
+        ic = ent.build("ic")
+        if ic.kind not in IC_KINDS:
+            raise ConfigError(f"ic.kind must be one of {IC_KINDS}, got {ic.kind!r}")
+        if ic.amplitude == 0.0 or not math.isfinite(ic.amplitude):
+            raise ConfigError("ic.amplitude must be finite and nonzero")
+        if ic.kind == "file":
+            if ic.path is None:
                 raise ConfigError("ic.kind=file requires ic.path")
-            if not Path(path_value).is_file():
-                raise ConfigError(f"ic.path does not exist: {path_value}")
-        ic = InitialSpec(
-            kind=kind,
-            amplitude=amplitude,
-            mode=ent.get("ic.mode", 1),
-            seed=ent.get("ic.seed", 0),
-            path=path_value,
-        )
+            if not Path(ic.path).is_file():
+                raise ConfigError(f"ic.path does not exist: {ic.path}")
 
-    checks_raw = ent.get("checks", "")
-    checks = tuple(name for name in (s.strip() for s in checks_raw.split(",")) if name)
-    for name in checks:
-        if name not in CHECK_NAMES:
-            raise ConfigError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
-
-    golden = {}
-    for key in ("d_hat", "threshold"):
-        value = ent.get(f"golden.{key}")
-        if value is not None:
-            golden[key] = value
-
+    names = (name.strip() for name in ent.get("checks", "").split(","))
     return RunConfig(
         model=model,
         flow=flow_cfg,
         ic=ic,
-        output_dir=ent.get("output_dir", "out"),
-        checks=checks,
-        welldepth=WellDepthOptions(
-            samples=ent.get("welldepth.samples", 200),
-            seed=ent.get("welldepth.seed", 0),
-            num_seeds=ent.get("welldepth.num_seeds", 5),
-            descent_iters=ent.get("welldepth.descent_iters", 300),
-            d_hat=ent.get("welldepth.d_hat"),
-        ),
-        fiber=FiberOptions(
-            lambda_min=ent.get("fiber.lambda_min"),
-            lambda_max=ent.get("fiber.lambda_max"),
-            count=ent.get("fiber.count", 121),
-        ),
-        threshold=ThresholdOptions(
-            alpha_lo=ent.get("threshold.alpha_lo"),
-            alpha_hi=ent.get("threshold.alpha_hi"),
-            tol=ent.get("threshold.tol", 0.01),
-        ),
-        golden=golden,
+        output_dir=ent.get("output_dir", RunConfig.output_dir),
+        checks=_checks([name for name in names if name]),
+        welldepth=ent.build("welldepth"),
+        fiber=ent.build("fiber"),
+        threshold=ent.build("threshold"),
+        golden=ent.values("golden"),
     )
 
 
@@ -303,10 +271,7 @@ def initial_condition(grid: Grid, spec: InitialSpec) -> GridFunction:
     elif spec.kind == "sine":
         base = sine_profile(grid, spec.mode)
     elif spec.kind == "random":
-        rng = SplitMix64(spec.seed)
-        raw = rng.symmetric_array(grid.n)
-        padded = np.concatenate(([0.0], raw, [0.0]))
-        base = GridFunction(grid, (padded[:-2] + padded[1:-1] + padded[2:]) / 3.0)
+        base = random_profile(grid, spec.seed)
     elif spec.kind == "file":
         values = []
         with open(spec.path, "r", encoding="utf-8") as fh:
@@ -327,7 +292,10 @@ def initial_condition(grid: Grid, spec: InitialSpec) -> GridFunction:
         base = GridFunction(grid, np.array(values))
     else:
         raise ConfigError(f"unknown ic.kind {spec.kind!r}")
-    return base.scaled(spec.amplitude)
+    u0 = base.scaled(spec.amplitude)
+    if not np.all(np.isfinite(u0.values)):
+        raise ConfigError("initial data holds non-finite values")
+    return u0
 
 
 # ---------------------------------------------------------------------------
@@ -371,42 +339,10 @@ def write_report(path: Path, lines: list[str]):
 
 
 def _config_echo(cfg: RunConfig) -> list[str]:
-    m, f = cfg.model, cfg.flow
-    lines = [
-        f"config.model.s={fmt(m.s)}",
-        f"config.model.p={fmt(m.p)}",
-        f"config.model.a={fmt(m.a)}",
-        f"config.model.b={fmt(m.b)}",
-        f"config.model.n={m.n}",
-        f"config.flow.dt0={fmt(f.dt0)}",
-        f"config.flow.t_end={fmt(f.t_end)}",
-        f"config.flow.dt_min={fmt(f.dt_min)}",
-        f"config.flow.blowup_threshold={fmt(f.blowup_threshold)}",
-        f"config.flow.inner_tol={fmt(f.inner_tol)}",
-        f"config.flow.inner_max_iters={f.inner_max_iters}",
-        f"config.flow.integrator={f.integrator}",
-    ]
+    lines = field_lines("config.model", cfg.model) + field_lines("config.flow", cfg.flow)
     if cfg.ic is not None:
-        lines += [
-            f"config.ic.kind={cfg.ic.kind}",
-            f"config.ic.amplitude={fmt(cfg.ic.amplitude)}",
-            f"config.ic.mode={cfg.ic.mode}",
-            f"config.ic.seed={cfg.ic.seed}",
-        ]
-        if cfg.ic.path is not None:
-            lines.append(f"config.ic.path={cfg.ic.path}")
+        lines += field_lines("config.ic", cfg.ic)
     return lines
-
-
-def _energy_lines(prefix: str, rep) -> list[str]:
-    return [
-        f"{prefix}.seminorm_p={fmt(rep.seminorm_p)}",
-        f"{prefix}.lp_p={fmt(rep.lp_p)}",
-        f"{prefix}.log_int={fmt(rep.log_int)}",
-        f"{prefix}.energy={fmt(rep.energy)}",
-        f"{prefix}.nehari={fmt(rep.nehari)}",
-        f"{prefix}.l2={fmt(rep.l2)}",
-    ]
 
 
 def _resolve_d_hat(cfg: RunConfig, grid: Grid) -> float:
@@ -438,7 +374,7 @@ def cmd_energy(cfg: RunConfig, out: Path) -> int:
     d_hat = _resolve_d_hat(cfg, grid)
     verdict = classify(u0, d_hat)
     lines = _config_echo(cfg)
-    lines += _energy_lines("energy", rep)
+    lines += field_lines("energy", rep)
     lines.append(f"classify.d_hat={fmt(d_hat)}")
     lines.append(f"classify.result={verdict.value}")
     write_report(out / "energy.report", lines)
@@ -451,7 +387,8 @@ def cmd_fiber(cfg: RunConfig, out: Path) -> int:
     grid = build_grid(cfg.model)
     u0 = initial_condition(grid, cfg.ic)
     try:
-        star = lambda_star(u0)
+        ray = _ray_scalars(u0)
+        star = _critical_scale(*ray)
     except NotInX0 as exc:
         raise ConfigError(str(exc)) from exc
     except OverflowError as exc:
@@ -461,7 +398,11 @@ def cmd_fiber(cfg: RunConfig, out: Path) -> int:
         ) from exc
     lam_min = cfg.fiber.lambda_min if cfg.fiber.lambda_min is not None else star * 1e-2
     lam_max = cfg.fiber.lambda_max if cfg.fiber.lambda_max is not None else star * 1e2
-    profile = fibering_profile(u0, lam_min, lam_max, cfg.fiber.count)
+    p = cfg.model.p
+    try:
+        profile = _sample_ray(ray, p, lam_min, lam_max, cfg.fiber.count)
+    except ValueError as exc:
+        raise ConfigError(f"fiber scan: {exc}") from exc
 
     lambdas = list(profile.lambdas)
     j_vals = list(profile.j_values)
@@ -470,10 +411,10 @@ def cmd_fiber(cfg: RunConfig, out: Path) -> int:
     star_row = None
     if lam_min <= star <= lam_max:
         pos = int(np.searchsorted(profile.lambdas, star))
-        single = fibering_profile(u0, star, 2.0 * star, 16)
+        at = np.array([star])
         lambdas.insert(pos, star)
-        j_vals.insert(pos, float(single.j_values[0]))
-        i_vals.insert(pos, float(single.i_values[0]))
+        j_vals.insert(pos, float(_j_closed(*ray, p, at)[0]))
+        i_vals.insert(pos, float(_i_closed(*ray, p, at)[0]))
         star_row = pos
 
     path = out / "fiber.csv"
@@ -495,40 +436,28 @@ def _run_checks(cfg: RunConfig, u0: GridFunction, trace: FlowTrace,
     for name in cfg.checks:
         if name == "energy_inequality":
             result = verify.check_energy_inequality(trace)
-            lines += verify.report_lines(name, result)
-            all_passed &= result.passed
+            passed = result.passed
         elif name == "well_invariance":
-            if classification in (WellClassification.INSIDE_WELL,
-                                  WellClassification.EXTERIOR):
-                ok = verify.check_well_invariance(trace, classification, d_hat)
-            else:
-                ok = True
-            lines += verify.report_lines(name, ok)
-            all_passed &= ok
-        elif name == "decay":
+            # undefined on the Nehari set and near the well depth: passes
+            result = passed = (
+                classification not in (WellClassification.INSIDE_WELL,
+                                       WellClassification.EXTERIOR)
+                or verify.check_well_invariance(trace, classification, d_hat))
+        else:
+            check = verify.check_decay if name == "decay" else verify.check_blowup
             try:
-                result = verify.check_decay(trace, cfg.model)
+                result = check(trace, cfg.model)
+            except (UnsupportedRegime, HypothesisNotMet):
+                raise
             except ValueError as exc:
-                if isinstance(exc, UnsupportedRegime):
-                    raise
+                # the trace cannot carry this check (wrong verdict, too few rows)
                 lines.append(f"check.{name}.passed=false")
                 lines.append(f"check.{name}.reason={exc}")
                 all_passed = False
                 continue
-            lines += verify.report_lines(name, result)
-            all_passed &= result.passed
-        elif name == "blowup":
-            try:
-                result = verify.check_blowup(trace, cfg.model)
-            except ValueError as exc:
-                if isinstance(exc, (UnsupportedRegime, HypothesisNotMet)):
-                    raise
-                lines.append(f"check.{name}.passed=false")
-                lines.append(f"check.{name}.reason={exc}")
-                all_passed = False
-                continue
-            lines += verify.report_lines(name, result)
-            all_passed &= result.passed
+            passed = result.passed
+        lines += verify.report_lines(name, result)
+        all_passed &= passed
     return lines, all_passed
 
 
@@ -559,7 +488,7 @@ def cmd_flow(cfg: RunConfig, out: Path) -> int:
         all_passed=all_passed,
     )
     lines = summary.to_lines()
-    lines += _energy_lines("run.final", trace.rows[-1].report)
+    lines += field_lines("run.final", trace.rows[-1].report)
     write_report(out / "summary.report", lines)
     for line in lines:
         print(line)
@@ -577,12 +506,12 @@ def cmd_welldepth(cfg: RunConfig, out: Path) -> int:
         )
 
     workers = os.environ.get("FRACFLOW_THREADS")
-    max_workers = max(1, int(workers)) if workers else min(4, os.cpu_count() or 1)
-    if max_workers > 1 and len(seeds) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            estimates = list(pool.map(estimate, seeds))
-    else:
-        estimates = [estimate(seed) for seed in seeds]
+    try:
+        max_workers = max(1, int(workers)) if workers else min(4, os.cpu_count() or 1)
+    except ValueError as exc:
+        raise ConfigError(f"FRACFLOW_THREADS must be an integer, got {workers!r}") from exc
+    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+        estimates = list(pool.map(estimate, seeds))
 
     d_hats = [e.d_hat for e in estimates]
     best = estimates[int(np.argmin(d_hats))]
@@ -624,10 +553,7 @@ def cmd_threshold(cfg: RunConfig, out: Path) -> int:
     grid = build_grid(cfg.model)
 
     def outcome(amplitude: float) -> FlowTrace:
-        spec = InitialSpec(
-            kind=cfg.ic.kind, amplitude=amplitude, mode=cfg.ic.mode,
-            seed=cfg.ic.seed, path=cfg.ic.path,
-        )
+        spec = replace(cfg.ic, amplitude=amplitude)
         return run_flow(initial_condition(grid, spec), cfg.flow)
 
     lo, hi = opts.alpha_lo, opts.alpha_hi
@@ -668,38 +594,17 @@ def cmd_threshold(cfg: RunConfig, out: Path) -> int:
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    flow_cfg = cfg.flow
     if args.integrator is not None:
-        if args.integrator not in (PROXIMAL, EXPLICIT):
-            raise ConfigError(f"unknown integrator {args.integrator!r}")
-        flow_cfg = FlowConfig(
-            dt0=flow_cfg.dt0, t_end=flow_cfg.t_end, dt_min=flow_cfg.dt_min,
-            blowup_threshold=flow_cfg.blowup_threshold,
-            inner_tol=flow_cfg.inner_tol, inner_max_iters=flow_cfg.inner_max_iters,
-            integrator=args.integrator,
-        )
-    ic = cfg.ic
-    welldepth = cfg.welldepth
+        try:
+            cfg = replace(cfg, flow=replace(cfg.flow, integrator=args.integrator))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     if args.seed is not None:
-        if ic is not None:
-            ic = InitialSpec(kind=ic.kind, amplitude=ic.amplitude, mode=ic.mode,
-                             seed=args.seed, path=ic.path)
-        welldepth = WellDepthOptions(
-            samples=welldepth.samples, seed=args.seed,
-            num_seeds=welldepth.num_seeds, descent_iters=welldepth.descent_iters,
-            d_hat=welldepth.d_hat,
-        )
-    checks = cfg.checks
+        ic = None if cfg.ic is None else replace(cfg.ic, seed=args.seed)
+        cfg = replace(cfg, ic=ic, welldepth=replace(cfg.welldepth, seed=args.seed))
     if args.check:
-        for name in args.check:
-            if name not in CHECK_NAMES:
-                raise ConfigError(f"unknown check {name!r}")
-        checks = tuple(args.check)
-    return RunConfig(
-        model=cfg.model, flow=flow_cfg, ic=ic, output_dir=cfg.output_dir,
-        checks=checks, welldepth=welldepth, fiber=cfg.fiber,
-        threshold=cfg.threshold, golden=cfg.golden,
-    )
+        cfg = replace(cfg, checks=_checks(args.check))
+    return cfg
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -753,6 +658,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (NumericalFailure, StepCollapse, SamplerFailure) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"resource failure: {exc or 'out of memory'}", file=sys.stderr)
         return 3
 
 

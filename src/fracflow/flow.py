@@ -81,8 +81,12 @@ class FlowConfig:
             raise ValueError("need dt0 > dt_min > 0")
         if not self.blowup_threshold > 0.0:
             raise ValueError("blowup_threshold must be positive")
-        if self.t_end <= 0.0:
-            raise ValueError("t_end must be positive")
+        if not 0.0 < self.t_end < math.inf:
+            raise ValueError("t_end must be positive and finite")
+        if not 0.0 < self.inner_tol < math.inf:
+            raise ValueError("inner_tol must be positive and finite")
+        if self.inner_max_iters < 1:
+            raise ValueError("inner_max_iters must be >= 1")
         if self.integrator not in (PROXIMAL, EXPLICIT):
             raise ValueError(f"unknown integrator {self.integrator!r}")
 

@@ -95,12 +95,23 @@ def logint_values(grid: Grid, v: np.ndarray) -> float:
     return float(grid.h * np.sum(_abs_pow(v, p) * _log_abs(v)))
 
 
-def energy_values(grid: Grid, v: np.ndarray) -> float:
-    p = grid.params.p
-    s = seminorm_values(grid, v)
-    pp = lpq_values(grid, v, p)
-    li = logint_values(grid, v)
+def _ray_terms(grid: Grid, v: np.ndarray) -> tuple[float, float, float]:
+    """Seminorm power S, p-norm power P and log integral L of a state."""
+    return (seminorm_values(grid, v), lpq_values(grid, v, grid.params.p),
+            logint_values(grid, v))
+
+
+def _energy(s: float, pp: float, li: float, p: float) -> float:
+    """E = S/p + P/p - L/p + P/p^2; the Nehari functional is I = S + P - L."""
     return s / p + pp / p - li / p + pp / (p * p)
+
+
+def energy_values(grid: Grid, v: np.ndarray) -> float:
+    # the hottest call of a flow (about 1e5 per threshold search), so the
+    # terms are evaluated here rather than through _ray_terms
+    p = grid.params.p
+    return _energy(seminorm_values(grid, v), lpq_values(grid, v, p),
+                   logint_values(grid, v), p)
 
 
 def gradient_values(grid: Grid, v: np.ndarray) -> np.ndarray:
@@ -204,15 +215,12 @@ def log_integral(u: GridFunction) -> float:
 
 def report(u: GridFunction) -> EnergyReport:
     """Bundle every scalar diagnostic of a state."""
-    p = u.grid.params.p
-    s = seminorm_values(u.grid, u.values)
-    pp = lpq_values(u.grid, u.values, p)
-    li = logint_values(u.grid, u.values)
+    s, pp, li = _ray_terms(u.grid, u.values)
     return EnergyReport(
         seminorm_p=s,
         lp_p=pp,
         log_int=li,
-        energy=s / p + pp / p - li / p + pp / (p * p),
+        energy=_energy(s, pp, li, u.grid.params.p),
         nehari=s + pp - li,
         l2=l2_values(u.grid, u.values),
     )
@@ -223,8 +231,8 @@ def energy(u: GridFunction) -> float:
 
 
 def nehari(u: GridFunction) -> float:
-    r = report(u)
-    return r.nehari
+    s, pp, li = _ray_terms(u.grid, u.values)
+    return s + pp - li
 
 
 def full_gradient(u: GridFunction) -> GridFunction:

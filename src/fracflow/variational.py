@@ -83,13 +83,32 @@ def _i_closed(s: float, pp: float, li: float, p: float, lam: np.ndarray) -> np.n
     return lam**p * (s + pp - li - np.log(lam) * pp)
 
 
+def _critical_scale(s: float, pp: float, li: float) -> float:
+    return math.exp((s + pp - li) / pp)
+
+
 def lambda_star(u: GridFunction) -> float:
     """Unique ray scale with I(lambda_star * u) = 0.
 
     Covariant under rescaling: ``lambda_star(c * u) == lambda_star(u) / c``.
     """
-    s, pp, li = _ray_scalars(u)
-    return math.exp((s + pp - li) / pp)
+    return _critical_scale(*_ray_scalars(u))
+
+
+def _sample_ray(ray: tuple[float, float, float], p: float, lam_min: float,
+                lam_max: float, count: int) -> FiberingProfile:
+    """``fibering_profile`` from the ray scalars ``(S, P, L)`` of a state."""
+    if not 0.0 < lam_min < lam_max:
+        raise ValueError("need 0 < lam_min < lam_max")
+    if count < 16:
+        raise ValueError("need at least 16 sample points")
+    lams = np.geomspace(lam_min, lam_max, count)
+    return FiberingProfile(
+        lambdas=lams,
+        j_values=_j_closed(*ray, p, lams),
+        i_values=_i_closed(*ray, p, lams),
+        lambda_star=_critical_scale(*ray),
+    )
 
 
 def fibering_profile(u: GridFunction, lam_min: float, lam_max: float,
@@ -99,19 +118,7 @@ def fibering_profile(u: GridFunction, lam_min: float, lam_max: float,
     The grid must be increasing; pick a range containing ``lambda_star(u)``
     to see the single peak and the sign change of I.
     """
-    if not 0.0 < lam_min < lam_max:
-        raise ValueError("need 0 < lam_min < lam_max")
-    if count < 16:
-        raise ValueError("need at least 16 sample points")
-    s, pp, li = _ray_scalars(u)
-    p = u.grid.params.p
-    lams = np.geomspace(lam_min, lam_max, count)
-    return FiberingProfile(
-        lambdas=lams,
-        j_values=_j_closed(s, pp, li, p, lams),
-        i_values=_i_closed(s, pp, li, p, lams),
-        lambda_star=math.exp((s + pp - li) / pp),
-    )
+    return _sample_ray(_ray_scalars(u), u.grid.params.p, lam_min, lam_max, count)
 
 
 def project_nehari(u: GridFunction) -> GridFunction:

@@ -12,7 +12,7 @@ checks refuse p = 2 instances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -237,7 +237,9 @@ def check_well_invariance(trace: FlowTrace, classification: WellClassification,
     return True
 
 
-def _format_value(value) -> str:
+def fmt(value) -> str:
+    """Render one report value: booleans as ``true``/``false``, floats with
+    17 significant digits (so they read back exactly), the rest via str."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -245,31 +247,27 @@ def _format_value(value) -> str:
     return str(value)
 
 
+def field_lines(prefix: str, obj) -> list[str]:
+    """One ``prefix.field=value`` line per dataclass field, in declaration
+    order, skipping fields that are None."""
+    return [f"{prefix}.{f.name}={fmt(value)}" for f in fields(obj)
+            if (value := getattr(obj, f.name)) is not None]
+
+
 def report_lines(name: str, verdict) -> list[str]:
     """Render a verdict as key=value lines under the prefix ``check.<name>``."""
     prefix = f"check.{name}"
     if isinstance(verdict, bool):
-        return [f"{prefix}.passed={_format_value(verdict)}"]
-    if isinstance(verdict, EnergyCheck):
-        lines = [f"{prefix}.passed={_format_value(verdict.passed)}"]
-        if verdict.first_violation is not None:
-            lines.append(f"{prefix}.first_violation={verdict.first_violation}")
-        return lines
+        return [f"{prefix}.passed={fmt(verdict)}"]
     if isinstance(verdict, DecayVerdict):
         return [
-            f"{prefix}.slope_fit={_format_value(verdict.slope_fit)}",
-            f"{prefix}.kappa_fit={_format_value(verdict.kappa_fit)}",
-            f"{prefix}.window_lo={_format_value(verdict.window[0])}",
-            f"{prefix}.window_hi={_format_value(verdict.window[1])}",
-            f"{prefix}.integral_ok={_format_value(verdict.integral_ok)}",
-            f"{prefix}.passed={_format_value(verdict.passed)}",
+            f"{prefix}.slope_fit={fmt(verdict.slope_fit)}",
+            f"{prefix}.kappa_fit={fmt(verdict.kappa_fit)}",
+            f"{prefix}.window_lo={fmt(verdict.window[0])}",
+            f"{prefix}.window_hi={fmt(verdict.window[1])}",
+            f"{prefix}.integral_ok={fmt(verdict.integral_ok)}",
+            f"{prefix}.passed={fmt(verdict.passed)}",
         ]
-    if isinstance(verdict, BlowupVerdict):
-        return [
-            f"{prefix}.C_const={_format_value(verdict.C_const)}",
-            f"{prefix}.T_bound={_format_value(verdict.T_bound)}",
-            f"{prefix}.t_obs={_format_value(verdict.t_obs)}",
-            f"{prefix}.lower_envelope_ok={_format_value(verdict.lower_envelope_ok)}",
-            f"{prefix}.passed={_format_value(verdict.passed)}",
-        ]
+    if isinstance(verdict, (EnergyCheck, BlowupVerdict)):
+        return field_lines(prefix, verdict)
     raise TypeError(f"no report format for {type(verdict).__name__}")

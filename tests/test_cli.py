@@ -1,8 +1,11 @@
 """Command-line harness: config parsing, subcommands, exit codes, determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import fracflow.cli
 from fracflow import ConfigError, ModelParams, build_grid, bump_profile, energy, lambda_star
 from fracflow.cli import initial_condition, InitialSpec, load_config, main
 
@@ -68,10 +71,42 @@ def test_duplicate_key_rejected(tmp_path):
         load_config(path)
 
 
-def test_zero_amplitude_rejected(tmp_path):
-    path = write_config(tmp_path, BASE.replace("ic.amplitude=1.0", "ic.amplitude=0"))
+@pytest.mark.parametrize("amplitude", ["0", "nan", "inf"])
+def test_zero_amplitude_rejected(tmp_path, amplitude):
+    path = write_config(tmp_path, BASE.replace("ic.amplitude=1.0", f"ic.amplitude={amplitude}"))
     with pytest.raises(ConfigError):
         load_config(path)
+    assert main(["energy", "--config", path, "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("entry", [
+    "flow.t_end=nan",
+    "flow.t_end=inf",
+    "flow.inner_tol=-1",
+    "flow.inner_tol=0",
+    "flow.inner_tol=nan",
+    "flow.inner_tol=inf",
+    "flow.inner_max_iters=0",
+])
+def test_invalid_flow_value_rejected(tmp_path, entry):
+    # rejected while loading, before any flow starts (t_end nan/inf would hang it)
+    key = entry.partition("=")[0]
+    text = "\n".join(line for line in BASE.splitlines() if not line.startswith(key + "="))
+    path = write_config(tmp_path, text + "\n" + entry + "\n")
+    with pytest.raises(ConfigError):
+        load_config(path)
+    assert main(["flow", "--config", path, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_nonfinite_ic_file_rejected(tmp_path):
+    data = tmp_path / "u0.txt"
+    data.write_text("1.0\n" * 15 + "nan\n", encoding="utf-8")
+    text = BASE.replace("ic.kind=bump", f"ic.kind=file\nic.path={data}")
+    path = write_config(tmp_path, text)
+    cfg = load_config(path)
+    with pytest.raises(ConfigError):
+        initial_condition(build_grid(cfg.model), cfg.ic)
+    assert main(["energy", "--config", path, "--out", str(tmp_path / "o")]) == 2
 
 
 def test_missing_ic_file_rejected(tmp_path):
@@ -229,13 +264,76 @@ def test_cmd_fiber_rejects_zero_state(tmp_path):
     assert main(["fiber", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
-def test_cmd_flow_deterministic_output(tmp_path):
-    cfg = write_config(tmp_path, BASE + "checks=energy_inequality\nic.seed=5\n")
+_SMALL_SAMPLER = "welldepth.samples=24\nwelldepth.num_seeds=2\nwelldepth.descent_iters=50\n"
+
+
+_ARTIFACTS = {
+    "energy": {"energy.report"},
+    "fiber": {"fiber.csv"},
+    "flow": {"trace.csv", "summary.report"},
+    "welldepth": {"welldepth.report", "minimizer.csv"},
+    "threshold": {"trace_lo.csv", "trace_hi.csv", "threshold.report"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_ARTIFACTS))
+def test_cmd_flow_deterministic_output(tmp_path, command):
+    artifacts = _ARTIFACTS[command]
+    text = BASE.replace("ic.kind=bump", "ic.kind=random").replace(
+        "flow.t_end=1.0", "flow.t_end=0.1") + _SMALL_SAMPLER + (
+        "checks=energy_inequality\nic.seed=5\n"
+        "threshold.alpha_lo=1\nthreshold.alpha_hi=1000\nthreshold.tol=0.2\n"
+    )
+    cfg = write_config(tmp_path, text)
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["flow", "--config", cfg, "--out", str(out1)]) == 0
-    assert main(["flow", "--config", cfg, "--out", str(out2)]) == 0
-    assert (out1 / "trace.csv").read_bytes() == (out2 / "trace.csv").read_bytes()
-    assert (out1 / "summary.report").read_bytes() == (out2 / "summary.report").read_bytes()
+    assert main([command, "--config", cfg, "--out", str(out1)]) == 0
+    assert main([command, "--config", cfg, "--out", str(out2)]) == 0
+    assert {p.name for p in out1.iterdir()} == artifacts
+    for name in artifacts:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["random", "file"])
+def test_config_echo_roundtrip(tmp_path, kind):
+    # the config.* lines of a report load back to the same model, flow and ic
+    data = tmp_path / "u0.txt"
+    data.write_text("0.5\n" * 16, encoding="utf-8")
+    ic = f"ic.kind=file\nic.path={data}" if kind == "file" else "ic.kind=random\nic.seed=11"
+    text = BASE.replace("ic.kind=bump", ic) + (
+        "ic.mode=3\nflow.inner_max_iters=77\nwelldepth.d_hat=5\n")
+    cfg_path = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["flow", "--config", cfg_path, "--out", str(out),
+                 "--integrator", "explicit-adaptive"]) == 0
+    echo = [line.removeprefix("config.")
+            for line in (out / "summary.report").read_text().splitlines()
+            if line.startswith("config.")]
+    assert any(line.startswith("flow.dt_min=") for line in echo)
+    back = load_config(write_config(tmp_path, "\n".join(echo) + "\n", "echo.cfg"))
+    cfg = load_config(cfg_path)
+    assert back.model == cfg.model
+    assert back.flow == replace(cfg.flow, integrator="explicit-adaptive")
+    assert back.ic == cfg.ic
+
+
+def test_bad_thread_count_rejected(tmp_path, monkeypatch):
+    monkeypatch.setenv("FRACFLOW_THREADS", "abc")
+    cfg = write_config(tmp_path, BASE + _SMALL_SAMPLER)
+    assert main(["welldepth", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_memory_error_exits_3(tmp_path, monkeypatch):
+    def exhausted(params):
+        raise MemoryError("cannot allocate the pair weights")
+
+    monkeypatch.setattr(fracflow.cli, "build_grid", exhausted)
+    cfg = write_config(tmp_path, BASE)
+    assert main(["energy", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+
+
+def test_cmd_fiber_bad_scan_rejected(tmp_path):
+    cfg = write_config(tmp_path, BASE + "fiber.count=5\n")
+    assert main(["fiber", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
 def test_cmd_welldepth(tmp_path, monkeypatch):
