@@ -37,6 +37,8 @@ from .flow import EXPLICIT, PROXIMAL, FlowConfig, FlowTrace, TraceRow, Verdict, 
 from .functionals import GridFunction, report
 from .grid import Grid, ModelParams, build_grid
 from .variational import (
+    DESCENT_ITERS,
+    SAMPLES,
     WellClassification,
     _critical_scale,
     _j_closed,
@@ -75,11 +77,19 @@ class InitialSpec:
 
 @dataclass(frozen=True)
 class WellDepthOptions:
-    samples: int = 200
+    samples: int = SAMPLES
     seed: int = 0
     num_seeds: int = 5
-    descent_iters: int = 300
+    descent_iters: int = DESCENT_ITERS
     d_hat: float | None = None
+
+    def __post_init__(self):
+        if self.samples < 1:
+            raise ValueError("samples must be >= 1")
+        if self.num_seeds < 1:
+            raise ValueError("num_seeds must be >= 1")
+        if self.descent_iters < 0:
+            raise ValueError("descent_iters must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -94,6 +104,16 @@ class ThresholdOptions:
     alpha_lo: float | None = None
     alpha_hi: float | None = None
     tol: float = 0.01
+
+    def __post_init__(self):
+        # the bisection stops at width tol * alpha_hi: tol <= 0 never stops
+        # it and tol = nan skips it
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
+        for name in ("alpha_lo", "alpha_hi"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)

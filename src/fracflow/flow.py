@@ -32,7 +32,8 @@ from .errors import NotInX0, NumericalFailure, StepCollapse
 from .functionals import (
     EnergyReport,
     GridFunction,
-    energy_values,
+    _Evaluation,
+    energy_values,  # noqa: F401 -- unused here, kept importable (perfbench tests read it)
     gradient_values,
     report,
 )
@@ -120,6 +121,8 @@ class ProximalStep(NamedTuple):
     iterations: int
     converged: bool
     ok: bool
+    # energy terms of u_next, carried so the next step starts from them
+    evaluation: _Evaluation | None = None
 
 
 class ExplicitStep(NamedTuple):
@@ -129,44 +132,42 @@ class ExplicitStep(NamedTuple):
     accepted: bool
 
 
-def step_proximal(u: GridFunction, dt: float, inner_tol: float = 1e-8,
-                  inner_max_iters: int = 500) -> ProximalStep:
+def step_proximal(u: GridFunction, dt: float,
+                  inner_tol: float = FlowConfig.inner_tol,
+                  inner_max_iters: int = FlowConfig.inner_max_iters, *,
+                  _start: _Evaluation | None = None) -> ProximalStep:
     """One proximal implicit Euler step.
 
     The inner solver is warm-started at ``u`` and terminates when the
     J-gradient norm drops below ``inner_tol`` times its starting value, at
     the iteration cap, or when backtracking stalls.  ``ok`` is False when
     non-finite values appear or the energy failed to be non-increasing;
-    callers should then reject the step and shrink dt.
+    callers should then reject the step and shrink dt.  ``_start`` is the
+    evaluation of ``u`` carried from the step that produced it.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
+    with np.errstate(over="ignore", invalid="ignore"):
+        start = _Evaluation(u.grid, u.values) if _start is None else _start
+        return _step_proximal_impl(u, start, dt, inner_tol, inner_max_iters)
+
+
+def _step_proximal_impl(u, start, dt, inner_tol, inner_max_iters):
+    # transient overflow in trial states is expected near blow-up; every
+    # non-finite value is caught explicitly
     grid = u.grid
     h = grid.h
     u0 = u.values
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _step_proximal_impl(u, grid, h, u0, dt, inner_tol, inner_max_iters)
-
-
-def _step_proximal_impl(u, grid, h, u0, dt, inner_tol, inner_max_iters):
-    # transient overflow in trial states is expected near blow-up; every
-    # non-finite value is caught explicitly
-    e_u = energy_values(grid, u0)
+    e_u = start.energy
     if not np.isfinite(e_u):
-        return ProximalStep(u, 0, False, False)
-
-    def j_grad(vals: np.ndarray) -> np.ndarray:
-        return (vals - u0) / dt + gradient_values(grid, vals)
-
-    def j_val(vals: np.ndarray) -> float:
-        diff = vals - u0
-        return energy_values(grid, vals) + 0.5 * h * float(np.dot(diff, diff)) / dt
+        return ProximalStep(u, 0, False, False, start)
 
     v = u0.copy()
     jv = e_u
-    g = gradient_values(grid, u0)
+    ev = start
+    g = start.gradient()
     if not np.all(np.isfinite(g)):
-        return ProximalStep(u, 0, False, False)
+        return ProximalStep(u, 0, False, False, start)
     gn0 = math.sqrt(h * float(np.dot(g, g)))
     stop = inner_tol * gn0
     converged = gn0 == 0.0
@@ -191,14 +192,18 @@ def _step_proximal_impl(u, grid, h, u0, dt, inner_tol, inner_max_iters):
         moved = False
         for _ in range(60):
             trial = v - eta * g
-            jt = j_val(trial)
+            ev_trial = _Evaluation(grid, trial)
+            diff = trial - u0
+            jt = ev_trial.energy + 0.5 * h * float(np.dot(diff, diff)) / dt
             if np.isfinite(jt) and jt <= jv - 1e-4 * eta * gn2:
                 prev_v, prev_g = v, g
                 decrease = jv - jt
-                v, jv = trial, jt
+                v, jv, ev = trial, jt, ev_trial
                 eta_last = eta
                 moved = True
                 break
+            # drop the rejected trial's pair array before the next is built
+            ev_trial = None
             eta *= 0.5
         if not moved:
             break
@@ -208,15 +213,15 @@ def _step_proximal_impl(u, grid, h, u0, dt, inner_tol, inner_max_iters):
                 break
         else:
             stalls = 0
-        g = j_grad(v)
+        g = (v - u0) / dt + ev.gradient()
         if not np.all(np.isfinite(g)):
-            return ProximalStep(u, iterations, False, False)
+            return ProximalStep(u, iterations, False, False, start)
         if math.sqrt(h * float(np.dot(g, g))) <= stop:
             converged = True
 
-    e_v = energy_values(grid, v)
+    e_v = ev.energy
     ok = bool(np.all(np.isfinite(v)) and np.isfinite(e_v) and e_v <= e_u)
-    return ProximalStep(GridFunction(grid, v), iterations, converged, ok)
+    return ProximalStep(GridFunction(grid, v), iterations, converged, ok, ev)
 
 
 def step_explicit(u: GridFunction, dt: float, safety: float = 0.9,
@@ -277,7 +282,11 @@ def run_flow(u0: GridFunction, config: FlowConfig,
     p = grid.params.p
     if not np.all(np.isfinite(u0.values)):
         raise NumericalFailure("initial state contains non-finite values", 0)
-    rep0 = report(u0)
+    explicit = config.integrator == EXPLICIT
+    # the evaluation of the current state: a proximal step starts from it
+    # and hands back the evaluation of the state it accepts
+    current = None if explicit else _Evaluation(grid, u0.values)
+    rep0 = report(u0) if explicit else current.report()
     if rep0.l2 == 0.0:
         raise NotInX0("initial state must be nonzero")
 
@@ -291,7 +300,6 @@ def run_flow(u0: GridFunction, config: FlowConfig,
     u = u0
     dissipation = 0.0
     l2_floor = _DECAY_FRACTION * rep0.l2
-    explicit = config.integrator == EXPLICIT
 
     while True:
         if t >= config.t_end * (1.0 - 1e-14):
@@ -307,7 +315,8 @@ def run_flow(u0: GridFunction, config: FlowConfig,
             accepted = result.accepted
             dt_suggest = result.dt_next
         else:
-            result = step_proximal(u, dt_eff, config.inner_tol, config.inner_max_iters)
+            result = step_proximal(u, dt_eff, config.inner_tol, config.inner_max_iters,
+                                   _start=current)
             accepted = result.ok
             # steer the inner iteration count towards the target; sqrt damps
             # the feedback so dt does not oscillate
@@ -319,7 +328,7 @@ def run_flow(u0: GridFunction, config: FlowConfig,
             if not np.all(np.isfinite(result.u_next.values)):
                 raise NumericalFailure("non-finite state", len(rows))
             with np.errstate(over="ignore", invalid="ignore"):
-                rep = report(result.u_next)
+                rep = report(result.u_next) if explicit else result.evaluation.report()
             if not np.isfinite(rep.l2):
                 raise NumericalFailure("non-finite diagnostics", len(rows))
             if rep.l2 > _MAX_GROWTH * max(l2_now, 1e-300):
@@ -344,6 +353,8 @@ def run_flow(u0: GridFunction, config: FlowConfig,
         dissipation += grid.h * float(np.dot(diff, diff)) / dt_eff
         t += dt_eff
         u = u_next
+        if not explicit:
+            current = result.evaluation
         row = TraceRow(t=t, dt=dt_eff, report=rep, dissipation=dissipation)
         rows.append(row)
         if on_row is not None:

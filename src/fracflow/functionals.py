@@ -58,12 +58,74 @@ def _log_abs(x: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # array layer
+#
+# Every pair kernel starts from the difference matrix d = v_i - v_j.  The
+# private helpers below take d or a power of it and consume it in place, so
+# the public functions and the one-pass evaluator share each formula and
+# its floating-point order.
+
+
+def _differences(v: np.ndarray) -> np.ndarray:
+    return v[:, None] - v[None, :]
+
+
+def _pair_powers(d: np.ndarray, p: float,
+                 odd: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """|d|**p and, if ``odd``, sign(d)|d|**(p-1) where the same products
+    give it (p = 2, 3, 4; otherwise None).
+
+    Bitwise equal to ``_abs_pow(d, p)`` and ``_sign_pow(d, p - 1)``: for
+    p = 3, ``a = |d| * d`` is the odd power and ``a * d`` the even one.
+    At p = 2 the odd power is ``d`` itself.
+    """
+    if p == 2.0:
+        return d * d, d
+    if p == 3.0:
+        a = np.abs(d)
+        a *= d
+        return a * d, a
+    if p == 4.0:
+        sq = d * d
+        cube = sq * d if odd else None
+        sq *= sq
+        return sq, cube
+    return _abs_pow(d, p), None
+
+
+def _seminorm(grid: Grid, even: np.ndarray, vp: np.ndarray) -> float:
+    """S from the even pair power (consumed) and |v|**p."""
+    even *= grid.W
+    return float(np.sum(even) + np.sum(grid.T * vp))
+
+
+def _terms(grid: Grid, v: np.ndarray,
+           even: np.ndarray) -> tuple[float, float, float, np.ndarray]:
+    """Seminorm power S, p-norm power P, log integral L and log|v| of a
+    state, from its even pair power (consumed)."""
+    vp = _abs_pow(v, grid.params.p)
+    logv = _log_abs(v)
+    return (_seminorm(grid, even, vp), float(grid.h * np.sum(vp)),
+            float(grid.h * np.sum(vp * logv)), logv)
+
+
+def _fpl(grid: Grid, odd: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Fractional p-Laplacian from the odd pair power (consumed) and
+    phi = sign(v)|v|**(p-1)."""
+    odd *= grid.W
+    return (2.0 * np.sum(odd, axis=1) + grid.T * phi) / grid.h
+
+
+def _gradient(grid: Grid, v: np.ndarray, odd: np.ndarray,
+              logv: np.ndarray) -> np.ndarray:
+    """Energy gradient from the odd pair power (consumed) and log|v|."""
+    phi = _sign_pow(v, grid.params.p - 1.0)
+    return _fpl(grid, odd, phi) + phi * (1.0 - logv)
 
 
 def seminorm_values(grid: Grid, v: np.ndarray) -> float:
     p = grid.params.p
-    d = v[:, None] - v[None, :]
-    return float(np.sum(grid.W * _abs_pow(d, p)) + np.sum(grid.T * _abs_pow(v, p)))
+    even, _ = _pair_powers(_differences(v), p, odd=False)
+    return _seminorm(grid, even, _abs_pow(v, p))
 
 
 def kform_values(grid: Grid, uv: np.ndarray, vv: np.ndarray) -> float:
@@ -77,9 +139,7 @@ def kform_values(grid: Grid, uv: np.ndarray, vv: np.ndarray) -> float:
 
 def fpl_values(grid: Grid, v: np.ndarray) -> np.ndarray:
     q = grid.params.p - 1.0
-    d = v[:, None] - v[None, :]
-    pair = 2.0 * np.sum(grid.W * _sign_pow(d, q), axis=1)
-    return (pair + grid.T * _sign_pow(v, q)) / grid.h
+    return _fpl(grid, _sign_pow(_differences(v), q), _sign_pow(v, q))
 
 
 def lpq_values(grid: Grid, v: np.ndarray, q: float) -> float:
@@ -97,8 +157,8 @@ def logint_values(grid: Grid, v: np.ndarray) -> float:
 
 def _ray_terms(grid: Grid, v: np.ndarray) -> tuple[float, float, float]:
     """Seminorm power S, p-norm power P and log integral L of a state."""
-    return (seminorm_values(grid, v), lpq_values(grid, v, grid.params.p),
-            logint_values(grid, v))
+    even, _ = _pair_powers(_differences(v), grid.params.p, odd=False)
+    return _terms(grid, v, even)[:3]
 
 
 def _energy(s: float, pp: float, li: float, p: float) -> float:
@@ -107,21 +167,59 @@ def _energy(s: float, pp: float, li: float, p: float) -> float:
 
 
 def energy_values(grid: Grid, v: np.ndarray) -> float:
-    # the hottest call of a flow (about 1e5 per threshold search), so the
-    # terms are evaluated here rather than through _ray_terms
-    p = grid.params.p
-    return _energy(seminorm_values(grid, v), lpq_values(grid, v, p),
-                   logint_values(grid, v), p)
+    return _energy(*_ray_terms(grid, v), grid.params.p)
 
 
 def gradient_values(grid: Grid, v: np.ndarray) -> np.ndarray:
     q = grid.params.p - 1.0
-    phi = _sign_pow(v, q)
-    return fpl_values(grid, v) + phi * (1.0 - _log_abs(v))
+    return _gradient(grid, v, _sign_pow(_differences(v), q), _log_abs(v))
 
 
 def inner_values(grid: Grid, u: np.ndarray, v: np.ndarray) -> float:
     return float(grid.h * np.dot(u, v))
+
+
+class _Evaluation:
+    """One state evaluated from one difference matrix.
+
+    S, P, L and the energy are computed on construction.  The energy
+    gradient is finished from the kept odd pair power (or from ``d`` where
+    no product is shared) only when ``gradient()`` is first called, and the
+    n x n array is dropped then.  A proximal trial that is rejected never
+    pays for its gradient.  Every value is bitwise equal to the public
+    functions on the same values.
+    """
+
+    __slots__ = ("grid", "values", "seminorm_p", "lp_p", "log_int", "energy",
+                 "_odd", "_d", "_logv", "_grad")
+
+    def __init__(self, grid: Grid, v: np.ndarray):
+        p = grid.params.p
+        d = _differences(v)
+        even, odd = _pair_powers(d, p, odd=True)
+        s, pp, li, logv = _terms(grid, v, even)
+        self.grid = grid
+        self.values = v
+        self.seminorm_p, self.lp_p, self.log_int = s, pp, li
+        self.energy = _energy(s, pp, li, p)
+        self._odd = odd
+        self._d = d if odd is None else None
+        self._logv = logv
+        self._grad = None
+
+    def gradient(self) -> np.ndarray:
+        """Energy gradient of the state; computed once."""
+        if self._grad is None:
+            odd = self._odd
+            if odd is None:
+                odd = _sign_pow(self._d, self.grid.params.p - 1.0)
+            self._grad = _gradient(self.grid, self.values, odd, self._logv)
+            self._odd = self._d = None
+        return self._grad
+
+    def report(self) -> "EnergyReport":
+        return _report(self.grid, self.values, self.seminorm_p, self.lp_p,
+                       self.log_int)
 
 
 # ---------------------------------------------------------------------------
@@ -213,17 +311,20 @@ def log_integral(u: GridFunction) -> float:
     return logint_values(u.grid, u.values)
 
 
-def report(u: GridFunction) -> EnergyReport:
-    """Bundle every scalar diagnostic of a state."""
-    s, pp, li = _ray_terms(u.grid, u.values)
+def _report(grid: Grid, v: np.ndarray, s: float, pp: float, li: float) -> EnergyReport:
     return EnergyReport(
         seminorm_p=s,
         lp_p=pp,
         log_int=li,
-        energy=_energy(s, pp, li, u.grid.params.p),
+        energy=_energy(s, pp, li, grid.params.p),
         nehari=s + pp - li,
-        l2=l2_values(u.grid, u.values),
+        l2=l2_values(grid, v),
     )
+
+
+def report(u: GridFunction) -> EnergyReport:
+    """Bundle every scalar diagnostic of a state."""
+    return _report(u.grid, u.values, *_ray_terms(u.grid, u.values))
 
 
 def energy(u: GridFunction) -> float:

@@ -38,6 +38,9 @@ from .rng import SplitMix64
 # rays whose Nehari exponent exceeds this cannot be represented in floats
 # and can never carry the minimum; the sampler skips them
 _MAX_LOG_LAMBDA = 80.0
+# default trial shapes and projected-descent iterations of one estimate
+SAMPLES = 200
+DESCENT_ITERS = 300
 
 
 class WellClassification(Enum):
@@ -270,8 +273,8 @@ def _descend_on_nehari(grid: Grid, w: np.ndarray, e_w: float, max_iters: int,
     return w, e_w
 
 
-def estimate_well_depth(grid: Grid, count: int = 200, seed: int = 0,
-                        descent_starts: int = 12, descent_iters: int = 300,
+def estimate_well_depth(grid: Grid, count: int = SAMPLES, seed: int = 0,
+                        descent_starts: int = 12, descent_iters: int = DESCENT_ITERS,
                         grad_tol: float = 1e-9,
                         trials: Sequence[GridFunction] | None = None) -> WellDepthEstimate:
     """Upper estimate of the well depth over projected trial rays.

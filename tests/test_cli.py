@@ -98,6 +98,48 @@ def test_invalid_flow_value_rejected(tmp_path, entry):
     assert main(["flow", "--config", path, "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("entry", [
+    "welldepth.num_seeds=0",
+    "welldepth.samples=0",
+    "welldepth.descent_iters=-1",
+])
+def test_invalid_welldepth_value_rejected(tmp_path, monkeypatch, entry):
+    # rejected while loading, before any estimate starts
+    def never(*args, **kwargs):
+        raise AssertionError("estimate started")
+
+    monkeypatch.setattr(fracflow.cli, "estimate_well_depth", never)
+    path = write_config(tmp_path, BASE + entry + "\n")
+    with pytest.raises(ConfigError):
+        load_config(path, need_ic=False)
+    assert main(["welldepth", "--config", path, "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("entry", [
+    "threshold.tol=0",
+    "threshold.tol=-1",
+    "threshold.tol=nan",
+    "threshold.tol=inf",
+    "threshold.alpha_lo=nan",
+    "threshold.alpha_hi=inf",
+])
+def test_invalid_threshold_value_rejected(tmp_path, monkeypatch, entry):
+    # rejected while loading, before any bisection flow starts (tol <= 0
+    # would never end it, tol = nan would skip it)
+    def never(*args, **kwargs):
+        raise AssertionError("flow started")
+
+    monkeypatch.setattr(fracflow.cli, "run_flow", never)
+    bracket = {"threshold.alpha_lo": "1", "threshold.alpha_hi": "1000"}
+    key, _, value = entry.partition("=")
+    bracket[key] = value
+    text = BASE + "".join(f"{k}={v}\n" for k, v in bracket.items())
+    path = write_config(tmp_path, text)
+    with pytest.raises(ConfigError):
+        load_config(path)
+    assert main(["threshold", "--config", path, "--out", str(tmp_path / "o")]) == 2
+
+
 def test_nonfinite_ic_file_rejected(tmp_path):
     data = tmp_path / "u0.txt"
     data.write_text("1.0\n" * 15 + "nan\n", encoding="utf-8")

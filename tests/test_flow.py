@@ -226,3 +226,38 @@ def test_blowup_energy_monotone(blowup_trace):
     energies = blowup_trace.column("energy")
     assert np.all(np.diff(energies) <= 0.0)
     assert energies[0] <= 0.0
+
+
+# ---------------------------------------------------------------------------
+# carried evaluations
+
+
+def _same_evaluation(a, b):
+    return (a.report() == b.report() and a.energy == b.energy
+            and np.array_equal(a.gradient(), b.gradient()))
+
+
+def test_proximal_step_carries_evaluation_of_u_next(grid_p3):
+    from fracflow.functionals import _Evaluation
+
+    rng = np.random.default_rng(223)
+    u = random_state(grid_p3, rng, smooth=True)
+    step = step_proximal(u, 0.05)
+    assert step.ok
+    assert _same_evaluation(step.evaluation, _Evaluation(grid_p3, step.u_next.values))
+    # a carried start evaluation gives the same step as a fresh one
+    again = step_proximal(step.u_next, 0.05, _start=step.evaluation)
+    fresh = step_proximal(step.u_next, 0.05)
+    assert np.array_equal(again.u_next.values, fresh.u_next.values)
+    assert (again.iterations, again.converged, again.ok) == (
+        fresh.iterations, fresh.converged, fresh.ok)
+
+
+def test_run_flow_last_row_reports_final_state(grid_p3):
+    from fracflow import report
+
+    u0 = bump_profile(grid_p3).scaled(0.5)
+    trace = run_flow(u0, FlowConfig(dt0=0.01, t_end=0.2))
+    assert len(trace.rows) > 2
+    assert trace.rows[-1].report == report(trace.u_final)
+    assert trace.rows[0].report == report(u0)

@@ -331,3 +331,45 @@ def test_gradient_vanishes_at_ground_state():
     g = full_gradient(est.minimizer)
     e = energy(est.minimizer)
     assert _l2(g) <= 1e-8 * (1.0 + abs(e))
+
+
+# ---------------------------------------------------------------------------
+# one-pass evaluator
+
+
+def _per_functional(grid, v):
+    """S, P, L, energy and gradient with one difference matrix per
+    functional, in the floating-point order the evaluator must reproduce."""
+    from fracflow.functionals import _abs_pow, _log_abs, _sign_pow
+
+    p, q, h = grid.params.p, grid.params.p - 1.0, grid.h
+    s = float(np.sum(grid.W * _abs_pow(v[:, None] - v[None, :], p))
+              + np.sum(grid.T * _abs_pow(v, p)))
+    pp = float(h * np.sum(_abs_pow(v, p)))
+    li = float(h * np.sum(_abs_pow(v, p) * _log_abs(v)))
+    e = s / p + pp / p - li / p + pp / (p * p)
+    odd = _sign_pow(v[:, None] - v[None, :], q)
+    fpl = (2.0 * np.sum(grid.W * odd, axis=1) + grid.T * _sign_pow(v, q)) / h
+    return s, pp, li, e, fpl + _sign_pow(v, q) * (1.0 - _log_abs(v))
+
+
+@pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0])
+@pytest.mark.parametrize("amplitude", [1.0, 1e7])
+def test_evaluation_bitwise_equals_public_functionals(p, amplitude):
+    from fracflow.functionals import _Evaluation, energy_values, gradient_values
+
+    grid = build_grid(ModelParams(s=0.3, p=p, a=0.0, b=1.0, n=16))
+    rng = np.random.default_rng(83)
+    vals = amplitude * rng.uniform(-1.0, 1.0, grid.n)
+    vals[[0, 5, 6]] = 0.0            # zero cells
+    vals[9] = vals[10] = vals[11]    # equal neighbours
+    ev = _Evaluation(grid, vals)
+    r = report(GridFunction(grid, vals))
+    s, pp, li, e, grad = _per_functional(grid, vals)
+    assert (ev.seminorm_p, ev.lp_p, ev.log_int, ev.energy) == (s, pp, li, e)
+    assert (r.seminorm_p, r.lp_p, r.log_int, r.energy) == (s, pp, li, e)
+    assert ev.report() == r
+    assert energy_values(grid, vals) == e
+    assert np.array_equal(gradient_values(grid, vals), grad)
+    assert np.array_equal(ev.gradient(), grad)
+    assert ev.gradient() is ev.gradient()
