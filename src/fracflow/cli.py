@@ -110,10 +110,9 @@ class ThresholdOptions:
         # it and tol = nan skips it
         if not 0.0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
-        for name in ("alpha_lo", "alpha_hi"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
+        if self.alpha_lo is not None and self.alpha_hi is not None:
+            if not 0.0 < self.alpha_lo < self.alpha_hi < math.inf:
+                raise ValueError("need 0 < threshold.alpha_lo < threshold.alpha_hi < inf")
 
 
 @dataclass(frozen=True)
@@ -567,8 +566,6 @@ def cmd_threshold(cfg: RunConfig, out: Path) -> int:
     opts = cfg.threshold
     if opts.alpha_lo is None or opts.alpha_hi is None:
         raise ConfigError("threshold.alpha_lo and threshold.alpha_hi are required")
-    if not 0.0 < opts.alpha_lo < opts.alpha_hi:
-        raise ConfigError("need 0 < threshold.alpha_lo < threshold.alpha_hi")
 
     grid = build_grid(cfg.model)
 

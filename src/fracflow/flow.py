@@ -284,9 +284,9 @@ def run_flow(u0: GridFunction, config: FlowConfig,
         raise NumericalFailure("initial state contains non-finite values", 0)
     explicit = config.integrator == EXPLICIT
     # the evaluation of the current state: a proximal step starts from it
-    # and hands back the evaluation of the state it accepts
-    current = None if explicit else _Evaluation(grid, u0.values)
-    rep0 = report(u0) if explicit else current.report()
+    # (building it when None) and hands back the evaluation it accepts
+    current = None
+    rep0 = report(u0)
     if rep0.l2 == 0.0:
         raise NotInX0("initial state must be nonzero")
 

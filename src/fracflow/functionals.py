@@ -69,10 +69,9 @@ def _differences(v: np.ndarray) -> np.ndarray:
     return v[:, None] - v[None, :]
 
 
-def _pair_powers(d: np.ndarray, p: float,
-                 odd: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """|d|**p and, if ``odd``, sign(d)|d|**(p-1) where the same products
-    give it (p = 2, 3, 4; otherwise None).
+def _pair_powers(d: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray | None]:
+    """|d|**p and sign(d)|d|**(p-1) where the same products give it
+    (p = 2, 3; otherwise None).
 
     Bitwise equal to ``_abs_pow(d, p)`` and ``_sign_pow(d, p - 1)``: for
     p = 3, ``a = |d| * d`` is the odd power and ``a * d`` the even one.
@@ -84,11 +83,6 @@ def _pair_powers(d: np.ndarray, p: float,
         a = np.abs(d)
         a *= d
         return a * d, a
-    if p == 4.0:
-        sq = d * d
-        cube = sq * d if odd else None
-        sq *= sq
-        return sq, cube
     return _abs_pow(d, p), None
 
 
@@ -124,8 +118,7 @@ def _gradient(grid: Grid, v: np.ndarray, odd: np.ndarray,
 
 def seminorm_values(grid: Grid, v: np.ndarray) -> float:
     p = grid.params.p
-    even, _ = _pair_powers(_differences(v), p, odd=False)
-    return _seminorm(grid, even, _abs_pow(v, p))
+    return _seminorm(grid, _abs_pow(_differences(v), p), _abs_pow(v, p))
 
 
 def kform_values(grid: Grid, uv: np.ndarray, vv: np.ndarray) -> float:
@@ -157,7 +150,7 @@ def logint_values(grid: Grid, v: np.ndarray) -> float:
 
 def _ray_terms(grid: Grid, v: np.ndarray) -> tuple[float, float, float]:
     """Seminorm power S, p-norm power P and log integral L of a state."""
-    even, _ = _pair_powers(_differences(v), grid.params.p, odd=False)
+    even = _abs_pow(_differences(v), grid.params.p)
     return _terms(grid, v, even)[:3]
 
 
@@ -196,7 +189,7 @@ class _Evaluation:
     def __init__(self, grid: Grid, v: np.ndarray):
         p = grid.params.p
         d = _differences(v)
-        even, odd = _pair_powers(d, p, odd=True)
+        even, odd = _pair_powers(d, p)
         s, pp, li, logv = _terms(grid, v, even)
         self.grid = grid
         self.values = v

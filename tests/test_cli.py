@@ -122,6 +122,8 @@ def test_invalid_welldepth_value_rejected(tmp_path, monkeypatch, entry):
     "threshold.tol=inf",
     "threshold.alpha_lo=nan",
     "threshold.alpha_hi=inf",
+    "threshold.alpha_lo=0",
+    "threshold.alpha_lo=5000",
 ])
 def test_invalid_threshold_value_rejected(tmp_path, monkeypatch, entry):
     # rejected while loading, before any bisection flow starts (tol <= 0
