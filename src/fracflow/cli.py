@@ -90,6 +90,9 @@ class WellDepthOptions:
             raise ValueError("num_seeds must be >= 1")
         if self.descent_iters < 0:
             raise ValueError("descent_iters must be >= 0")
+        # on the Nehari set E = P/p^2 > 0, so a well depth is positive
+        if self.d_hat is not None and not 0.0 < self.d_hat < math.inf:
+            raise ValueError("d_hat must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -126,33 +129,6 @@ class RunConfig:
     fiber: FiberOptions = field(default_factory=FiberOptions)
     threshold: ThresholdOptions = field(default_factory=ThresholdOptions)
     golden: dict[str, float] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class ExperimentSummary:
-    """Everything cmd_flow reports about a run; deterministic given the
-    config and seed."""
-
-    config_lines: tuple[str, ...]
-    classification: str
-    d_hat: float
-    verdict: str
-    t_event: float
-    rows: int
-    check_lines: tuple[str, ...]
-    golden_lines: tuple[str, ...]
-    all_passed: bool
-
-    def to_lines(self) -> list[str]:
-        lines = list(self.config_lines)
-        lines.append(f"classify.d_hat={fmt(self.d_hat)}")
-        lines.append(f"classify.result={self.classification}")
-        lines.append(f"run.verdict={self.verdict}")
-        lines.append(f"run.t_event={fmt(self.t_event)}")
-        lines.append(f"run.rows={self.rows}")
-        lines.extend(self.check_lines)
-        lines.extend(self.golden_lines)
-        return lines
 
 
 def _parse_entries(path: str) -> dict[str, tuple[str, int]]:
@@ -492,26 +468,22 @@ def cmd_flow(cfg: RunConfig, out: Path) -> int:
         sink.close()
 
     check_lines, all_passed = _run_checks(cfg, u0, trace, classification, d_hat)
-    golden_lines = []
+    lines = _config_echo(cfg)
+    lines += [
+        f"classify.d_hat={fmt(d_hat)}",
+        f"classify.result={classification.value}",
+        f"run.verdict={trace.verdict.value}",
+        f"run.t_event={fmt(trace.t_event)}",
+        f"run.rows={len(trace.rows)}",
+    ]
+    lines += check_lines
     if "d_hat" in cfg.golden:
-        golden_lines.append(f"golden.d_hat.delta={fmt(d_hat - cfg.golden['d_hat'])}")
-    summary = ExperimentSummary(
-        config_lines=tuple(_config_echo(cfg)),
-        classification=classification.value,
-        d_hat=d_hat,
-        verdict=trace.verdict.value,
-        t_event=trace.t_event,
-        rows=len(trace.rows),
-        check_lines=tuple(check_lines),
-        golden_lines=tuple(golden_lines),
-        all_passed=all_passed,
-    )
-    lines = summary.to_lines()
+        lines.append(f"golden.d_hat.delta={fmt(d_hat - cfg.golden['d_hat'])}")
     lines += field_lines("run.final", trace.rows[-1].report)
     write_report(out / "summary.report", lines)
     for line in lines:
         print(line)
-    return 0 if summary.all_passed else 1
+    return 0 if all_passed else 1
 
 
 def cmd_welldepth(cfg: RunConfig, out: Path) -> int:

@@ -1,11 +1,12 @@
 """Functionals of grid states: seminorm, K-form, norms, energy, Nehari.
 
-Two layers live here.  The array functions (``seminorm_values`` and
-friends) work on raw value vectors and carry the numerical load; the
-``GridFunction`` wrappers implement the public operation surface.  All
-integrals use the cell measure ``h``, and gradients are taken in the
-h-weighted l2 pairing, so the semidiscrete flow ``u_t = -full_gradient(u)``
-is exactly the collocated evolution system.
+Every pair functional starts from the difference matrix d = v_i - v_j.
+``_Evaluation`` forms the seminorm power S, the p-norm power P and the log
+integral L of a state from one such matrix, and the energy, the Nehari
+functional and ``report`` from those three; the public energy functionals
+read it.  All integrals use the cell measure ``h``, and gradients are taken
+in the h-weighted l2 pairing, so the semidiscrete flow
+``u_t = -full_gradient(u)`` is exactly the collocated evolution system.
 """
 
 from __future__ import annotations
@@ -56,15 +57,6 @@ def _log_abs(x: np.ndarray) -> np.ndarray:
     return out
 
 
-# ---------------------------------------------------------------------------
-# array layer
-#
-# Every pair kernel starts from the difference matrix d = v_i - v_j.  The
-# private helpers below take d or a power of it and consume it in place, so
-# the public functions and the one-pass evaluator share each formula and
-# its floating-point order.
-
-
 def _differences(v: np.ndarray) -> np.ndarray:
     return v[:, None] - v[None, :]
 
@@ -86,22 +78,6 @@ def _pair_powers(d: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray | None
     return _abs_pow(d, p), None
 
 
-def _seminorm(grid: Grid, even: np.ndarray, vp: np.ndarray) -> float:
-    """S from the even pair power (consumed) and |v|**p."""
-    even *= grid.W
-    return float(np.sum(even) + np.sum(grid.T * vp))
-
-
-def _terms(grid: Grid, v: np.ndarray,
-           even: np.ndarray) -> tuple[float, float, float, np.ndarray]:
-    """Seminorm power S, p-norm power P, log integral L and log|v| of a
-    state, from its even pair power (consumed)."""
-    vp = _abs_pow(v, grid.params.p)
-    logv = _log_abs(v)
-    return (_seminorm(grid, even, vp), float(grid.h * np.sum(vp)),
-            float(grid.h * np.sum(vp * logv)), logv)
-
-
 def _fpl(grid: Grid, odd: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Fractional p-Laplacian from the odd pair power (consumed) and
     phi = sign(v)|v|**(p-1)."""
@@ -116,51 +92,8 @@ def _gradient(grid: Grid, v: np.ndarray, odd: np.ndarray,
     return _fpl(grid, odd, phi) + phi * (1.0 - logv)
 
 
-def seminorm_values(grid: Grid, v: np.ndarray) -> float:
-    p = grid.params.p
-    return _seminorm(grid, _abs_pow(_differences(v), p), _abs_pow(v, p))
-
-
-def kform_values(grid: Grid, uv: np.ndarray, vv: np.ndarray) -> float:
-    q = grid.params.p - 1.0
-    du = uv[:, None] - uv[None, :]
-    dv = vv[:, None] - vv[None, :]
-    pair = np.sum(grid.W * _sign_pow(du, q) * dv)
-    tail = np.sum(grid.T * _sign_pow(uv, q) * vv)
-    return float(pair + tail)
-
-
-def fpl_values(grid: Grid, v: np.ndarray) -> np.ndarray:
-    q = grid.params.p - 1.0
-    return _fpl(grid, _sign_pow(_differences(v), q), _sign_pow(v, q))
-
-
-def lpq_values(grid: Grid, v: np.ndarray, q: float) -> float:
-    return float(grid.h * np.sum(_abs_pow(v, q)))
-
-
-def l2_values(grid: Grid, v: np.ndarray) -> float:
-    return float(np.sqrt(grid.h * np.dot(v, v)))
-
-
-def logint_values(grid: Grid, v: np.ndarray) -> float:
-    p = grid.params.p
-    return float(grid.h * np.sum(_abs_pow(v, p) * _log_abs(v)))
-
-
-def _ray_terms(grid: Grid, v: np.ndarray) -> tuple[float, float, float]:
-    """Seminorm power S, p-norm power P and log integral L of a state."""
-    even = _abs_pow(_differences(v), grid.params.p)
-    return _terms(grid, v, even)[:3]
-
-
-def _energy(s: float, pp: float, li: float, p: float) -> float:
-    """E = S/p + P/p - L/p + P/p^2; the Nehari functional is I = S + P - L."""
-    return s / p + pp / p - li / p + pp / (p * p)
-
-
 def energy_values(grid: Grid, v: np.ndarray) -> float:
-    return _energy(*_ray_terms(grid, v), grid.params.p)
+    return _Evaluation(grid, v).energy
 
 
 def gradient_values(grid: Grid, v: np.ndarray) -> np.ndarray:
@@ -168,33 +101,36 @@ def gradient_values(grid: Grid, v: np.ndarray) -> np.ndarray:
     return _gradient(grid, v, _sign_pow(_differences(v), q), _log_abs(v))
 
 
-def inner_values(grid: Grid, u: np.ndarray, v: np.ndarray) -> float:
-    return float(grid.h * np.dot(u, v))
-
-
 class _Evaluation:
     """One state evaluated from one difference matrix.
 
-    S, P, L and the energy are computed on construction.  The energy
+    S, P, L, the energy E = S/p + P/p - L/p + P/p^2 and the Nehari
+    functional I = S + P - L are computed on construction.  The energy
     gradient is finished from the kept odd pair power (or from ``d`` where
     no product is shared) only when ``gradient()`` is first called, and the
     n x n array is dropped then.  A proximal trial that is rejected never
-    pays for its gradient.  Every value is bitwise equal to the public
-    functions on the same values.
+    pays for its gradient.  The gradient is bitwise equal to
+    ``gradient_values`` on the same values.
     """
 
     __slots__ = ("grid", "values", "seminorm_p", "lp_p", "log_int", "energy",
-                 "_odd", "_d", "_logv", "_grad")
+                 "nehari", "_odd", "_d", "_logv", "_grad")
 
     def __init__(self, grid: Grid, v: np.ndarray):
         p = grid.params.p
         d = _differences(v)
         even, odd = _pair_powers(d, p)
-        s, pp, li, logv = _terms(grid, v, even)
+        even *= grid.W
+        vp = _abs_pow(v, p)
+        logv = _log_abs(v)
+        s = float(np.sum(even) + np.sum(grid.T * vp))
+        pp = float(grid.h * np.sum(vp))
+        li = float(grid.h * np.sum(vp * logv))
         self.grid = grid
         self.values = v
         self.seminorm_p, self.lp_p, self.log_int = s, pp, li
-        self.energy = _energy(s, pp, li, p)
+        self.energy = s / p + pp / p - li / p + pp / (p * p)
+        self.nehari = s + pp - li
         self._odd = odd
         self._d = d if odd is None else None
         self._logv = logv
@@ -211,8 +147,14 @@ class _Evaluation:
         return self._grad
 
     def report(self) -> "EnergyReport":
-        return _report(self.grid, self.values, self.seminorm_p, self.lp_p,
-                       self.log_int)
+        return EnergyReport(
+            seminorm_p=self.seminorm_p,
+            lp_p=self.lp_p,
+            log_int=self.log_int,
+            energy=self.energy,
+            nehari=self.nehari,
+            l2=l2_norm(GridFunction(self.grid, self.values)),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +211,7 @@ def _require_same_grid(u: GridFunction, v: GridFunction):
 
 def seminorm_p(u: GridFunction) -> float:
     """Discrete Gagliardo p-seminorm, zero-extension tail included."""
-    return seminorm_values(u.grid, u.values)
+    return _Evaluation(u.grid, u.values).seminorm_p
 
 
 def k_form(u: GridFunction, v: GridFunction) -> float:
@@ -279,45 +221,40 @@ def k_form(u: GridFunction, v: GridFunction) -> float:
     ``|K(u, v)| <= seminorm_p(u)^((p-1)/p) * seminorm_p(v)^(1/p)``.
     """
     _require_same_grid(u, v)
-    return kform_values(u.grid, u.values, v.values)
+    grid, q = u.grid, u.grid.params.p - 1.0
+    pair = np.sum(grid.W * _sign_pow(_differences(u.values), q) * _differences(v.values))
+    tail = np.sum(grid.T * _sign_pow(u.values, q) * v.values)
+    return float(pair + tail)
 
 
 def frac_p_laplacian(u: GridFunction) -> GridFunction:
     """Gradient of the seminorm potential ``seminorm_p(u)/p`` in the
     h-weighted pairing: ``h * sum(g_i v_i) == k_form(u, v)`` for all v."""
-    return GridFunction(u.grid, fpl_values(u.grid, u.values))
+    q = u.grid.params.p - 1.0
+    odd = _sign_pow(_differences(u.values), q)
+    return GridFunction(u.grid, _fpl(u.grid, odd, _sign_pow(u.values, q)))
 
 
 def lp_norm_p(u: GridFunction, q: float) -> float:
     """The integral of |u|**q over the domain (exact for cell states)."""
     if q < 1.0:
         raise ValueError(f"exponent must be >= 1, got {q}")
-    return lpq_values(u.grid, u.values, q)
+    return float(u.grid.h * np.sum(_abs_pow(u.values, q)))
 
 
 def l2_norm(u: GridFunction) -> float:
-    return l2_values(u.grid, u.values)
+    return float(np.sqrt(l2_inner(u, u)))
 
 
 def log_integral(u: GridFunction) -> float:
     """Integral of |u|**p * log|u|, with integrand 0 where u vanishes."""
-    return logint_values(u.grid, u.values)
-
-
-def _report(grid: Grid, v: np.ndarray, s: float, pp: float, li: float) -> EnergyReport:
-    return EnergyReport(
-        seminorm_p=s,
-        lp_p=pp,
-        log_int=li,
-        energy=_energy(s, pp, li, grid.params.p),
-        nehari=s + pp - li,
-        l2=l2_values(grid, v),
-    )
+    v = u.values
+    return float(u.grid.h * np.sum(_abs_pow(v, u.grid.params.p) * _log_abs(v)))
 
 
 def report(u: GridFunction) -> EnergyReport:
     """Bundle every scalar diagnostic of a state."""
-    return _report(u.grid, u.values, *_ray_terms(u.grid, u.values))
+    return _Evaluation(u.grid, u.values).report()
 
 
 def energy(u: GridFunction) -> float:
@@ -325,8 +262,7 @@ def energy(u: GridFunction) -> float:
 
 
 def nehari(u: GridFunction) -> float:
-    s, pp, li = _ray_terms(u.grid, u.values)
-    return s + pp - li
+    return _Evaluation(u.grid, u.values).nehari
 
 
 def full_gradient(u: GridFunction) -> GridFunction:
@@ -336,4 +272,4 @@ def full_gradient(u: GridFunction) -> GridFunction:
 
 def l2_inner(u: GridFunction, v: GridFunction) -> float:
     _require_same_grid(u, v)
-    return inner_values(u.grid, u.values, v.values)
+    return float(u.grid.h * np.dot(u.values, v.values))

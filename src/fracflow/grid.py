@@ -26,6 +26,7 @@ claimed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,6 +129,7 @@ def _midpoint_tails(params: ModelParams) -> np.ndarray:
     return 2.0 * h * inner / sp
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def build_grid(params: ModelParams) -> Grid:
     """Assemble pair and tail weights for a problem instance.
 
@@ -141,6 +143,11 @@ def build_grid(params: ModelParams) -> Grid:
     Grid
         Grid with ``W`` and ``T`` populated as described in the module
         docstring.
+
+    Raises
+    ------
+    InvalidInstance
+        If a weight is not a finite float (large ``s*p`` on a fine grid).
     """
     if not isinstance(params, ModelParams):
         params = ModelParams(*params)
@@ -155,11 +162,19 @@ def build_grid(params: ModelParams) -> Grid:
         w_adj = (2.0 * h**(1.0 - sp) - (2.0 * h) ** (1.0 - sp)) / (sp * (1.0 - sp))
         T = _exact_tails(params)
     else:
-        w_adj = h ** (1.0 - sp)
+        try:
+            w_adj = h ** (1.0 - sp)
+        except OverflowError:
+            w_adj = math.inf
         T = _midpoint_tails(params)
     idx = np.arange(n - 1)
     W[idx, idx + 1] = w_adj
     W[idx + 1, idx] = w_adj
+    if not (np.isfinite(W).all() and np.isfinite(T).all()):
+        raise InvalidInstance(
+            f"pair or tail weights overflow at s*p = {sp:g}, h = {h:g}; "
+            "lower p or use a coarser grid"
+        )
 
     for arr in (centers, W, T):
         arr.setflags(write=False)

@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import NotInX0, SamplerFailure
 from .functionals import (
+    EnergyReport,
     GridFunction,
     energy_values,
     gradient_values,
@@ -70,10 +71,16 @@ class WellDepthEstimate:
     sampler_seed: int
 
 
-def _ray_scalars(u: GridFunction) -> tuple[float, float, float]:
+def _report_in_x0(u: GridFunction) -> EnergyReport:
+    """``report(u)``; the Nehari set and every ray exclude the zero state."""
     r = report(u)
     if r.lp_p == 0.0:
         raise NotInX0("state vanishes identically")
+    return r
+
+
+def _ray_scalars(u: GridFunction) -> tuple[float, float, float]:
+    r = _report_in_x0(u)
     return r.seminorm_p, r.lp_p, r.log_int
 
 
@@ -135,9 +142,10 @@ def classify(u0: GridFunction, d_hat: float, i_tol: float | None = None,
 
     ``d_hat`` is only an upper estimate of the well depth, so energies
     within ``margin`` of it (default 5%) are reported as indeterminate
-    rather than trusted to a side.
+    rather than trusted to a side.  The zero state is in no class: it
+    raises ``NotInX0``.
     """
-    r = report(u0)
+    r = _report_in_x0(u0)
     if i_tol is None:
         i_tol = 1e-8 * (1.0 + r.seminorm_p)
     if margin is None:

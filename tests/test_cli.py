@@ -102,6 +102,10 @@ def test_invalid_flow_value_rejected(tmp_path, entry):
     "welldepth.num_seeds=0",
     "welldepth.samples=0",
     "welldepth.descent_iters=-1",
+    "welldepth.d_hat=nan",
+    "welldepth.d_hat=-1",
+    "welldepth.d_hat=0",
+    "welldepth.d_hat=inf",
 ])
 def test_invalid_welldepth_value_rejected(tmp_path, monkeypatch, entry):
     # rejected while loading, before any estimate starts
@@ -298,6 +302,26 @@ def test_cmd_flow_step_collapse_exits_3(tmp_path):
     trace = (tmp_path / "o" / "trace.csv").read_text().strip().splitlines()
     assert trace[0].startswith("t,dt,")
     assert len(trace) >= 2
+
+
+@pytest.mark.parametrize("command", ["energy", "flow", "fiber"])
+def test_zero_initial_data_rejected(tmp_path, monkeypatch, command):
+    # sine mode 0 vanishes identically; the Nehari set excludes 0
+    def never(*args, **kwargs):
+        raise AssertionError("flow started")
+
+    monkeypatch.setattr(fracflow.cli, "run_flow", never)
+    text = BASE.replace("ic.kind=bump", "ic.kind=sine\nic.mode=0") + "welldepth.d_hat=1\n"
+    path = write_config(tmp_path, text)
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o" / "energy.report").exists()
+
+
+@pytest.mark.parametrize("command", ["energy", "welldepth"])
+def test_overflowing_weights_exit_2(tmp_path, command):
+    text = BASE.replace("model.p=3", "model.p=300").replace("model.n=16", "model.n=128")
+    path = write_config(tmp_path, text.replace("model.b=20", "model.b=1"))
+    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
 
 
 def test_cmd_fiber_rejects_zero_state(tmp_path):

@@ -337,9 +337,10 @@ def test_gradient_vanishes_at_ground_state():
 # one-pass evaluator
 
 
-def _per_functional(grid, v):
-    """S, P, L, energy and gradient with one difference matrix per
-    functional, in the floating-point order the evaluator must reproduce."""
+def _per_functional(grid, v, w):
+    """S, P, L, energy, gradient, fractional p-Laplacian and K(v, w) with
+    one difference matrix per functional, in the floating-point order the
+    evaluator and the public functionals must reproduce."""
     from fracflow.functionals import _abs_pow, _log_abs, _sign_pow
 
     p, q, h = grid.params.p, grid.params.p - 1.0, grid.h
@@ -350,7 +351,9 @@ def _per_functional(grid, v):
     e = s / p + pp / p - li / p + pp / (p * p)
     odd = _sign_pow(v[:, None] - v[None, :], q)
     fpl = (2.0 * np.sum(grid.W * odd, axis=1) + grid.T * _sign_pow(v, q)) / h
-    return s, pp, li, e, fpl + _sign_pow(v, q) * (1.0 - _log_abs(v))
+    kform = float(np.sum(grid.W * odd * (w[:, None] - w[None, :]))
+                  + np.sum(grid.T * _sign_pow(v, q) * w))
+    return s, pp, li, e, fpl + _sign_pow(v, q) * (1.0 - _log_abs(v)), fpl, kform
 
 
 @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0])
@@ -363,13 +366,23 @@ def test_evaluation_bitwise_equals_public_functionals(p, amplitude):
     vals = amplitude * rng.uniform(-1.0, 1.0, grid.n)
     vals[[0, 5, 6]] = 0.0            # zero cells
     vals[9] = vals[10] = vals[11]    # equal neighbours
+    other = rng.uniform(-1.0, 1.0, grid.n)
+    u, w = GridFunction(grid, vals), GridFunction(grid, other)
     ev = _Evaluation(grid, vals)
-    r = report(GridFunction(grid, vals))
-    s, pp, li, e, grad = _per_functional(grid, vals)
+    r = report(u)
+    s, pp, li, e, grad, fpl, kform = _per_functional(grid, vals, other)
     assert (ev.seminorm_p, ev.lp_p, ev.log_int, ev.energy) == (s, pp, li, e)
+    assert ev.nehari == s + pp - li
     assert (r.seminorm_p, r.lp_p, r.log_int, r.energy) == (s, pp, li, e)
     assert ev.report() == r
+    assert seminorm_p(u) == s
+    assert nehari(u) == s + pp - li
+    assert log_integral(u) == li
+    assert lp_norm_p(u, p) == pp
+    assert energy(u) == e
     assert energy_values(grid, vals) == e
+    assert np.array_equal(frac_p_laplacian(u).values, fpl)
+    assert k_form(u, w) == kform
     assert np.array_equal(gradient_values(grid, vals), grad)
     assert np.array_equal(ev.gradient(), grad)
     assert ev.gradient() is ev.gradient()

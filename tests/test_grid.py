@@ -82,6 +82,10 @@ def continuum_seminorm_quadrature(params, profile):
         dict(s=0.5, p=2.0, a=1.0, b=0.0, n=4),
         dict(s=0.5, p=2.0, a=0.0, b=1.0, n=1),
         dict(s=float("nan"), p=2.0, a=0.0, b=1.0, n=4),
+        # weights that are not finite floats: the adjacent weight
+        # h**(1 - sp) overflows a Python float; only the tail weights overflow
+        dict(s=0.5, p=300.0, a=0.0, b=1.0, n=128),
+        dict(s=0.9, p=230.0, a=0.0, b=1.0, n=16),
     ],
 )
 def test_invalid_params_rejected(kwargs):

@@ -78,6 +78,12 @@ def test_lambda_star_rejects_zero(grid_n16):
         lambda_star(GridFunction(grid_n16, np.zeros(16)))
 
 
+def test_classify_rejects_zero(grid_n16):
+    # the Nehari set excludes 0, so the zero state is not OnNehari
+    with pytest.raises(NotInX0):
+        classify(GridFunction(grid_n16, np.zeros(16)), 1.0)
+
+
 def test_lambda_star_unique_sign_change(grid_n16):
     # samples with |I| at rounding scale carry no sign information
     rng = np.random.default_rng(109)
