@@ -34,7 +34,7 @@ from .errors import (
     UnsupportedRegime,
 )
 from .flow import EXPLICIT, PROXIMAL, FlowConfig, FlowTrace, TraceRow, Verdict, run_flow
-from .functionals import GridFunction, report
+from .functionals import GridFunction
 from .grid import Grid, ModelParams, build_grid
 from .variational import (
     DESCENT_ITERS,
@@ -44,6 +44,8 @@ from .variational import (
     _j_closed,
     _i_closed,
     _ray_scalars,
+    _report_in_x0,
+    _require_in_x0,
     _sample_ray,
     bump_profile,
     classify,
@@ -365,7 +367,7 @@ def _out_dir(cfg: RunConfig, override: str | None) -> Path:
 def cmd_energy(cfg: RunConfig, out: Path) -> int:
     grid = build_grid(cfg.model)
     u0 = initial_condition(grid, cfg.ic)
-    rep = report(u0)
+    rep = _report_in_x0(u0)
     d_hat = _resolve_d_hat(cfg, grid)
     verdict = classify(u0, d_hat)
     lines = _config_echo(cfg)
@@ -423,7 +425,7 @@ def cmd_fiber(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def _run_checks(cfg: RunConfig, u0: GridFunction, trace: FlowTrace,
+def _run_checks(cfg: RunConfig, trace: FlowTrace,
                 classification: WellClassification,
                 d_hat: float) -> tuple[list[str], bool]:
     lines: list[str] = []
@@ -459,6 +461,7 @@ def _run_checks(cfg: RunConfig, u0: GridFunction, trace: FlowTrace,
 def cmd_flow(cfg: RunConfig, out: Path) -> int:
     grid = build_grid(cfg.model)
     u0 = initial_condition(grid, cfg.ic)
+    _require_in_x0(u0)
     d_hat = _resolve_d_hat(cfg, grid)
     classification = classify(u0, d_hat)
     sink = TraceCsvSink(out / "trace.csv")
@@ -467,7 +470,7 @@ def cmd_flow(cfg: RunConfig, out: Path) -> int:
     finally:
         sink.close()
 
-    check_lines, all_passed = _run_checks(cfg, u0, trace, classification, d_hat)
+    check_lines, all_passed = _run_checks(cfg, trace, classification, d_hat)
     lines = _config_echo(cfg)
     lines += [
         f"classify.d_hat={fmt(d_hat)}",

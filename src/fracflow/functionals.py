@@ -1,12 +1,16 @@
 """Functionals of grid states: seminorm, K-form, norms, energy, Nehari.
 
-Every pair functional starts from the difference matrix d = v_i - v_j.
+At p = 2 the pair term is a quadratic form: with ``D = 2 W 1 + T``
+(``Grid.D``) the seminorm power is ``S = v.(D v - 2 W v)`` and the
+fractional Laplacian is ``(D v - 2 W v) / h``, one matrix-vector product.
+Every other pair functional, and ``k_form`` and ``frac_p_laplacian`` at
+every p, starts from the difference matrix d = v_i - v_j.
 ``_Evaluation`` forms the seminorm power S, the p-norm power P and the log
-integral L of a state from one such matrix, and the energy, the Nehari
-functional and ``report`` from those three; the public energy functionals
-read it.  All integrals use the cell measure ``h``, and gradients are taken
-in the h-weighted l2 pairing, so the semidiscrete flow
-``u_t = -full_gradient(u)`` is exactly the collocated evolution system.
+integral L of a state in one pass, and the energy, the Nehari functional
+and ``report`` from those three; the public energy functionals read it.
+All integrals use the cell measure ``h``, and gradients are taken in the
+h-weighted l2 pairing, so the semidiscrete flow ``u_t = -full_gradient(u)``
+is exactly the collocated evolution system.
 """
 
 from __future__ import annotations
@@ -63,19 +67,21 @@ def _differences(v: np.ndarray) -> np.ndarray:
 
 def _pair_powers(d: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray | None]:
     """|d|**p and sign(d)|d|**(p-1) where the same products give it
-    (p = 2, 3; otherwise None).
+    (p = 3; otherwise None).
 
     Bitwise equal to ``_abs_pow(d, p)`` and ``_sign_pow(d, p - 1)``: for
     p = 3, ``a = |d| * d`` is the odd power and ``a * d`` the even one.
-    At p = 2 the odd power is ``d`` itself.
     """
-    if p == 2.0:
-        return d * d, d
     if p == 3.0:
         a = np.abs(d)
         a *= d
         return a * d, a
     return _abs_pow(d, p), None
+
+
+def _linear_pair(grid: Grid, v: np.ndarray) -> np.ndarray:
+    """y = D v - 2 W v, h times the fractional Laplacian at p = 2."""
+    return grid.D * v - 2.0 * (grid.W @ v)
 
 
 def _fpl(grid: Grid, odd: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -85,11 +91,14 @@ def _fpl(grid: Grid, odd: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return (2.0 * np.sum(odd, axis=1) + grid.T * phi) / grid.h
 
 
-def _gradient(grid: Grid, v: np.ndarray, odd: np.ndarray,
+def _gradient(grid: Grid, v: np.ndarray, pair: np.ndarray,
               logv: np.ndarray) -> np.ndarray:
-    """Energy gradient from the odd pair power (consumed) and log|v|."""
+    """Energy gradient from log|v| and the pair term: ``_linear_pair`` at
+    p = 2, else the odd pair power (consumed)."""
+    if grid.params.p == 2.0:
+        return pair / grid.h + v * (1.0 - logv)
     phi = _sign_pow(v, grid.params.p - 1.0)
-    return _fpl(grid, odd, phi) + phi * (1.0 - logv)
+    return _fpl(grid, pair, phi) + phi * (1.0 - logv)
 
 
 def energy_values(grid: Grid, v: np.ndarray) -> float:
@@ -97,33 +106,45 @@ def energy_values(grid: Grid, v: np.ndarray) -> float:
 
 
 def gradient_values(grid: Grid, v: np.ndarray) -> np.ndarray:
-    q = grid.params.p - 1.0
-    return _gradient(grid, v, _sign_pow(_differences(v), q), _log_abs(v))
+    p = grid.params.p
+    if p == 2.0:
+        pair = _linear_pair(grid, v)
+    else:
+        pair = _sign_pow(_differences(v), p - 1.0)
+    return _gradient(grid, v, pair, _log_abs(v))
 
 
 class _Evaluation:
-    """One state evaluated from one difference matrix.
+    """One state evaluated in one pass over its pairs.
 
     S, P, L, the energy E = S/p + P/p - L/p + P/p^2 and the Nehari
-    functional I = S + P - L are computed on construction.  The energy
-    gradient is finished from the kept odd pair power (or from ``d`` where
-    no product is shared) only when ``gradient()`` is first called, and the
-    n x n array is dropped then.  A proximal trial that is rejected never
-    pays for its gradient.  The gradient is bitwise equal to
-    ``gradient_values`` on the same values.
+    functional I = S + P - L are computed on construction.  At p = 2 the
+    pass is one matrix-vector product: S = v.y with y = D v - 2 W v, and
+    only the length-n y is kept.  Otherwise S comes from the difference
+    matrix, and its odd pair power (or ``d`` itself where no product is
+    shared) is kept.  The energy gradient is finished from the kept pair
+    term only when ``gradient()`` is first called, and the pair term is
+    dropped then, so a proximal trial that is rejected never pays for its
+    gradient.  The gradient is bitwise equal to ``gradient_values`` on the
+    same values.
     """
 
     __slots__ = ("grid", "values", "seminorm_p", "lp_p", "log_int", "energy",
-                 "nehari", "_odd", "_d", "_logv", "_grad")
+                 "nehari", "_pair", "_d", "_logv", "_grad")
 
     def __init__(self, grid: Grid, v: np.ndarray):
         p = grid.params.p
-        d = _differences(v)
-        even, odd = _pair_powers(d, p)
-        even *= grid.W
         vp = _abs_pow(v, p)
         logv = _log_abs(v)
-        s = float(np.sum(even) + np.sum(grid.T * vp))
+        d = None
+        if p == 2.0:
+            pair = _linear_pair(grid, v)
+            s = float(np.dot(v, pair))
+        else:
+            d = _differences(v)
+            even, pair = _pair_powers(d, p)
+            even *= grid.W
+            s = float(np.sum(even) + np.sum(grid.T * vp))
         pp = float(grid.h * np.sum(vp))
         li = float(grid.h * np.sum(vp * logv))
         self.grid = grid
@@ -131,19 +152,19 @@ class _Evaluation:
         self.seminorm_p, self.lp_p, self.log_int = s, pp, li
         self.energy = s / p + pp / p - li / p + pp / (p * p)
         self.nehari = s + pp - li
-        self._odd = odd
-        self._d = d if odd is None else None
+        self._pair = pair
+        self._d = d if pair is None else None
         self._logv = logv
         self._grad = None
 
     def gradient(self) -> np.ndarray:
         """Energy gradient of the state; computed once."""
         if self._grad is None:
-            odd = self._odd
-            if odd is None:
-                odd = _sign_pow(self._d, self.grid.params.p - 1.0)
-            self._grad = _gradient(self.grid, self.values, odd, self._logv)
-            self._odd = self._d = None
+            pair = self._pair
+            if pair is None:
+                pair = _sign_pow(self._d, self.grid.params.p - 1.0)
+            self._grad = _gradient(self.grid, self.values, pair, self._logv)
+            self._pair = self._d = None
         return self._grad
 
     def report(self) -> "EnergyReport":

@@ -16,6 +16,8 @@ states:
   integral has the closed-form inner antiderivative
   ``((x - a)^(-sp) + (b - x)^(-sp)) / sp`` and is integrated over the cell
   exactly.
+* ``D[i] = 2 * sum_j W[i, j] + T[i]`` is the diagonal of the p = 2 pair
+  operator: there the seminorm power is ``v.(D v - 2 W v)``.
 
 For ``s*p >= 1`` the exact adjacent and boundary-tail integrals diverge on
 piecewise-constant states (such states fall outside the continuum energy
@@ -98,6 +100,8 @@ class Grid:
     T : ndarray, shape (n,)
         Strictly positive tail weights (the zero extension always
         contributes).
+    D : ndarray, shape (n,)
+        ``2 * W.sum(axis=1) + T``, the diagonal of the p = 2 pair operator.
     """
 
     params: ModelParams
@@ -105,6 +109,7 @@ class Grid:
     centers: np.ndarray
     W: np.ndarray
     T: np.ndarray
+    D: np.ndarray
 
     @property
     def n(self) -> int:
@@ -141,7 +146,7 @@ def build_grid(params: ModelParams) -> Grid:
     Returns
     -------
     Grid
-        Grid with ``W`` and ``T`` populated as described in the module
+        Grid with ``W``, ``T`` and ``D`` populated as described in the module
         docstring.
 
     Raises
@@ -170,12 +175,13 @@ def build_grid(params: ModelParams) -> Grid:
     idx = np.arange(n - 1)
     W[idx, idx + 1] = w_adj
     W[idx + 1, idx] = w_adj
-    if not (np.isfinite(W).all() and np.isfinite(T).all()):
+    D = 2.0 * W.sum(axis=1) + T
+    if not (np.isfinite(W).all() and np.isfinite(T).all() and np.isfinite(D).all()):
         raise InvalidInstance(
             f"pair or tail weights overflow at s*p = {sp:g}, h = {h:g}; "
             "lower p or use a coarser grid"
         )
 
-    for arr in (centers, W, T):
+    for arr in (centers, W, T, D):
         arr.setflags(write=False)
-    return Grid(params=params, h=h, centers=centers, W=W, T=T)
+    return Grid(params=params, h=h, centers=centers, W=W, T=T, D=D)

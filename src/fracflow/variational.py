@@ -31,6 +31,7 @@ from .functionals import (
     GridFunction,
     energy_values,
     gradient_values,
+    lp_norm_p,
     report,
 )
 from .grid import Grid
@@ -71,12 +72,16 @@ class WellDepthEstimate:
     sampler_seed: int
 
 
-def _report_in_x0(u: GridFunction) -> EnergyReport:
-    """``report(u)``; the Nehari set and every ray exclude the zero state."""
-    r = report(u)
-    if r.lp_p == 0.0:
+def _require_in_x0(u: GridFunction):
+    """Raise ``NotInX0`` for a state that vanishes identically; the Nehari
+    set and every ray exclude it."""
+    if lp_norm_p(u, u.grid.params.p) == 0.0:
         raise NotInX0("state vanishes identically")
-    return r
+
+
+def _report_in_x0(u: GridFunction) -> EnergyReport:
+    _require_in_x0(u)
+    return report(u)
 
 
 def _ray_scalars(u: GridFunction) -> tuple[float, float, float]:

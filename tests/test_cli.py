@@ -305,16 +305,20 @@ def test_cmd_flow_step_collapse_exits_3(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["energy", "flow", "fiber"])
-def test_zero_initial_data_rejected(tmp_path, monkeypatch, command):
-    # sine mode 0 vanishes identically; the Nehari set excludes 0
+def test_zero_initial_data_rejected(tmp_path, monkeypatch, command, capsys):
+    # sine mode 0 vanishes identically; the Nehari set excludes 0, and it is
+    # rejected before a well depth is estimated
     def never(*args, **kwargs):
-        raise AssertionError("flow started")
+        raise AssertionError("flow or well-depth estimate started")
 
     monkeypatch.setattr(fracflow.cli, "run_flow", never)
-    text = BASE.replace("ic.kind=bump", "ic.kind=sine\nic.mode=0") + "welldepth.d_hat=1\n"
-    path = write_config(tmp_path, text)
-    assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
-    assert not (tmp_path / "o" / "energy.report").exists()
+    monkeypatch.setattr(fracflow.cli, "estimate_well_depth", never)
+    text = BASE.replace("ic.kind=bump", "ic.kind=sine\nic.mode=0")
+    for d_hat in ("welldepth.d_hat=1\n", ""):
+        path = write_config(tmp_path, text + d_hat)
+        assert main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o" / "energy.report").exists()
+        assert "state vanishes identically" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["energy", "welldepth"])

@@ -370,8 +370,10 @@ def test_evaluation_bitwise_equals_public_functionals(p, amplitude):
     u, w = GridFunction(grid, vals), GridFunction(grid, other)
     ev = _Evaluation(grid, vals)
     r = report(u)
-    s, pp, li, e, grad, fpl, kform = _per_functional(grid, vals, other)
-    assert (ev.seminorm_p, ev.lp_p, ev.log_int, ev.energy) == (s, pp, li, e)
+    s, e, grad = ev.seminorm_p, ev.energy, ev.gradient()
+    s_ref, pp, li, e_ref, grad_ref, fpl, kform = _per_functional(grid, vals, other)
+    # the evaluator and every public functional agree bitwise at every p
+    assert (ev.lp_p, ev.log_int) == (pp, li)
     assert ev.nehari == s + pp - li
     assert (r.seminorm_p, r.lp_p, r.log_int, r.energy) == (s, pp, li, e)
     assert ev.report() == r
@@ -381,8 +383,57 @@ def test_evaluation_bitwise_equals_public_functionals(p, amplitude):
     assert lp_norm_p(u, p) == pp
     assert energy(u) == e
     assert energy_values(grid, vals) == e
+    assert np.array_equal(gradient_values(grid, vals), grad)
+    assert np.array_equal(full_gradient(u).values, grad)
+    assert ev.gradient() is grad
+    # the K-form and the p-Laplacian stay dense at every p
     assert np.array_equal(frac_p_laplacian(u).values, fpl)
     assert k_form(u, w) == kform
-    assert np.array_equal(gradient_values(grid, vals), grad)
-    assert np.array_equal(ev.gradient(), grad)
-    assert ev.gradient() is ev.gradient()
+    if p == 2.0:
+        # one matrix-vector product: equal to the dense reference to rounding
+        _assert_near_reference(ev, r, (s_ref, pp, li, e_ref, grad_ref))
+    else:
+        assert (s, e) == (s_ref, e_ref)
+        assert np.array_equal(grad, grad_ref)
+
+
+def _assert_near_reference(ev, r, ref):
+    """S, E and the report within 1e-12 relative, the gradient within 1e-11
+    of the reference's max-norm."""
+    s, pp, li, e, grad = ref
+    assert ev.seminorm_p == pytest.approx(s, rel=1e-12, abs=0.0)
+    assert ev.energy == pytest.approx(e, rel=1e-12, abs=0.0)
+    assert r == ev.report()
+    assert (r.lp_p, r.log_int) == (pp, li)
+    assert r.nehari == pytest.approx(s + pp - li, rel=1e-12, abs=0.0)
+    err = np.max(np.abs(ev.gradient() - grad))
+    assert err <= 1e-11 * np.max(np.abs(grad))
+
+
+def _profile(grid, kind, amplitude):
+    """A smooth two-mode profile or seeded white noise, with zero cells."""
+    n = grid.n
+    if kind == "smooth":
+        x = (grid.centers - grid.params.a) / grid.params.measure
+        vals = np.sin(np.pi * x) + 0.3 * np.sin(3.0 * np.pi * x)
+    else:
+        vals = np.random.default_rng(89).uniform(-1.0, 1.0, n)
+    vals[[0, n // 3, n // 3 + 1]] = 0.0
+    return amplitude * vals
+
+
+@pytest.mark.parametrize("s,b,n", [(0.3, 1.0, 16), (0.3, 20.0, 24), (0.4, 1.0, 1024)])
+@pytest.mark.parametrize("kind", ["smooth", "rough"])
+@pytest.mark.parametrize("amplitude", [1.0, 1e7])
+def test_linear_pair_path_matches_dense_reference(s, b, n, kind, amplitude):
+    # at p = 2 no difference matrix is formed; gate that path against the
+    # dense one-functional-at-a-time reference
+    from fracflow.functionals import _Evaluation, gradient_values
+
+    grid = build_grid(ModelParams(s=s, p=2.0, a=0.0, b=b, n=n))
+    vals = _profile(grid, kind, amplitude)
+    s_ref, pp, li, e_ref, grad_ref, _, _ = _per_functional(grid, vals, vals)
+    ev = _Evaluation(grid, vals)
+    _assert_near_reference(ev, report(GridFunction(grid, vals)),
+                           (s_ref, pp, li, e_ref, grad_ref))
+    assert np.array_equal(gradient_values(grid, vals), ev.gradient())

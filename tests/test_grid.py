@@ -105,6 +105,8 @@ def test_weight_matrix_structure(s, p, n):
     assert np.all(g.W >= 0.0)
     assert np.all(g.T > 0.0)
     assert np.all(np.isfinite(g.W)) and np.all(np.isfinite(g.T))
+    assert np.array_equal(g.D, 2.0 * g.W.sum(axis=1) + g.T)
+    assert not g.D.flags.writeable
 
 
 def test_far_field_is_midpoint_formula():
